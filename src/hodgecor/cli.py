@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -194,8 +193,15 @@ def _suite_numeric(args, report) -> bool:
     tol = 3 * math.hypot(r1.stderr, r2.stderr)
     ok_sh = abs(s) < max(tol, 1e-12)
     report("shuffle_depth2", ok_sh, f"|sum|={abs(s):.2e} vs 3sigma={tol:.2e}")
-    ok_dh = abs(r1.value + r2.value) < max(tol, 1e-12)  # reversal = -value
-    report("dihedral_depth2", ok_dh, "reversal flips the sign at depth 2")
+    # at depth 2 reversal is the shuffle relation above; at depth 3 it
+    # preserves the value
+    pts3 = pts + [2.2 + 0.4j]
+    r3 = multiple_green(curve, mu, pts3, samples=args.samples, seed=7)
+    r4 = multiple_green(curve, mu, pts3[::-1], samples=args.samples, seed=8)
+    d = r3.value - r4.value
+    tol3 = 3 * math.hypot(r3.stderr, r4.stderr)
+    ok_dh = abs(d) < max(tol3, 1e-12)
+    report("dihedral_depth3", ok_dh, f"|diff|={abs(d):.2e} vs 3sigma={tol3:.2e}")
     return ok_sh and ok_dh
 
 
@@ -297,9 +303,6 @@ def main(argv=None) -> int:
     r.set_defaults(fn=cmd_reference)
 
     args = ap.parse_args(argv)
-    threads = os.environ.get("HODGECOR_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
     return args.fn(args)
 
 

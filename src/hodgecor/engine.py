@@ -276,11 +276,9 @@ class _GreenEval:
 
     def eval(self, x, y, need_dx, need_dy):
         """returns (G, dG/dx or None, dG/dy or None); conjugates give the
-        antiholomorphic derivatives since G is real."""
+        antiholomorphic derivatives since G is real.  On P^1 only the delta
+        measure occurs (`correlate` rejects the volume measure there)."""
         if isinstance(self.curve, RationalCurve):
-            if self.spec.kind != "delta":
-                raise NotImplementedError("volume measure on P^1 is not wired "
-                                          "into the engine integrand")
             a = self.spec.base
             d = x - y
             g = np.log(np.abs(d))
@@ -294,22 +292,17 @@ class _GreenEval:
                 if need_dy:
                     dy = dy - 0.5 / (y - a)
             return g + self.constant, dx, dy
-        # elliptic
+        # elliptic: one theta pass per Green-function argument
+        g, gz = self.curve.green_pair(x - y)
         if self.spec.kind == "volume":
-            d = x - y
-            g = self.curve.green_function(d) + self.constant
-            gz = self.curve.green_dz(d) if (need_dx or need_dy) else None
-            return g, (gz if need_dx else None), (-gz if need_dy else None)
+            return (g + self.constant, (gz if need_dx else None),
+                    (-gz if need_dy else None))
         a = complex(self.spec.base)
-        d = x - y
-        g = (self.curve.green_function(d) - self.curve.green_function(x - a)
-             - self.curve.green_function(a - y) + self.constant)
-        dx = dy = None
-        if need_dx:
-            dx = self.curve.green_dz(d) - self.curve.green_dz(x - a)
-        if need_dy:
-            dy = -self.curve.green_dz(d) + self.curve.green_dz(a - y)
-        return g, dx, dy
+        g_xa, gz_xa = self.curve.green_pair(x - a)
+        g_ay, gz_ay = self.curve.green_pair(a - y)
+        dx = gz - gz_xa if need_dx else None
+        dy = -gz + gz_ay if need_dy else None
+        return g - g_xa - g_ay + self.constant, dx, dy
 
 
 # ----------------------------------------------------------------------
@@ -616,7 +609,9 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     return value, se, nbatches * batch, rejected, stable
 
 
-def _validate_points(req: CorrelatorRequest):
+def _validate_request(req: CorrelatorRequest):
+    if isinstance(req.curve, RationalCurve) and req.green.kind != "delta":
+        raise ValueError("the engine integrates only the delta measure on P^1")
     labels = {ell.label for ell in req.word.letters() if ell.kind == "s"}
     resolved = {lab: req.resolve_point(lab) for lab in labels}
     items = list(resolved.items())
@@ -639,7 +634,7 @@ def _validate_points(req: CorrelatorRequest):
 def correlate(req: CorrelatorRequest) -> CorrelatorResult:
     """Tree-summed correlator of a cyclic word; Q-linear in the word,
     deterministic for a fixed seed."""
-    _validate_points(req)
+    _validate_request(req)
     per_tree = []
     total = 0j
     errsq = 0.0

@@ -68,8 +68,15 @@ class EllipticCurve:
     tau: complex
 
     def __post_init__(self):
-        if complex(self.tau).imag <= 0:
+        tau = complex(self.tau)
+        if tau.imag <= 0:
             raise ValueError("need Im tau > 0")
+        # constants of the theta product, cached on the frozen instance
+        qn = cmath.exp(2j * math.pi * tau) ** np.arange(1, self._nterms() + 1)
+        log_abs_eta = -math.pi * tau.imag / 12 + float(np.log(np.abs(1 - qn)).sum())
+        object.__setattr__(self, "_qpow", qn)
+        object.__setattr__(self, "_one_plus_q2n", 1.0 + qn * qn)
+        object.__setattr__(self, "_log_abs_eta", log_abs_eta)
 
     @property
     def im_tau(self) -> float:
@@ -101,57 +108,75 @@ class EllipticCurve:
                       / (tau - np.conj(tau)))
 
     # -- theta machinery ------------------------------------------------
-    def _qn(self, nmax: int):
-        q = cmath.exp(2j * np.pi * complex(self.tau))
-        return q, nmax
-
     def _nterms(self) -> int:
-        # |q|^n < 1e-18 tail
-        return max(6, int(42.0 / (2 * np.pi * self.im_tau) / 0.4343) + 2)
+        """Factors n = 1..N kept in the theta product.  On a reduced z,
+        |q^n e^{+-1}| <= |q|^(n-1), so the first omitted factor differs from
+        1 by about |q|^N, which N makes smaller than 1e-18."""
+        return max(6, int(18 * math.log(10) / (2 * math.pi * self.im_tau)) + 1)
+
+    def theta_quotient(self, z):
+        """(log|theta_1(z)/eta|, theta_1'/theta_1 (z)) from one pass over the
+        product; z reduced beforehand.
+
+        With e = exp(2 pi i z) the paired factors are
+        t_n = (1 - q^n e)(1 - q^n / e) = 1 - q^n (e + 1/e) + q^(2n), and
+
+            theta_1 / eta = 2 q^(1/12) sin(pi z) prod_n t_n,
+            theta_1' / theta_1 = pi cot(pi z)
+                                 + 2 pi i (1/e - e) sum_n q^n / t_n.
+
+        sin and cos of pi z are built from real sin/cos/sinh/cosh, which keeps
+        full relative accuracy next to the lattice points on the real axis.
+        """
+        z = np.asarray(z, dtype=complex)
+        x, y = np.pi * z.real, np.pi * z.imag
+        sx, cx, sh, ch = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
+        prod = 2.0 * (sx * ch + 1j * (cx * sh))            # 2 sin(pi z)
+        cot = 2.0 * (cx * ch - 1j * (sx * sh)) / prod      # cot(pi z)
+        e = np.exp(-2.0 * y) * (cx + 1j * sx) ** 2         # exp(2 pi i z)
+        del x, y, sx, cx, sh, ch  # fewer live arrays in the loop below
+        inv_e = 1.0 / e
+        c = e + inv_e
+        acc = np.zeros_like(c)
+        t = np.empty_like(c)
+        for qn, one_plus_q2n in zip(self._qpow, self._one_plus_q2n):
+            np.multiply(c, -qn, out=t)
+            t += one_plus_q2n
+            prod *= t
+            acc += np.divide(qn, t, out=t)
+        log_ratio = np.log(np.abs(prod)) - np.pi * self.im_tau / 6.0
+        dlog = np.pi * cot + 2j * np.pi * (inv_e - e) * acc
+        return log_ratio, dlog
 
     def log_abs_theta1(self, z):
-        """log|theta_1(z|tau)| by the triple product; z reduced beforehand."""
-        q, nmax = self._qn(self._nterms())
-        e = np.exp(2j * np.pi * np.asarray(z, dtype=complex))
-        out = np.log(np.abs(2.0 * np.sin(np.pi * np.asarray(z, dtype=complex)))) \
-            - 2 * np.pi * self.im_tau / 8.0
-        for n in range(1, nmax):
-            qe = q ** n
-            out = out + np.log(np.abs(1 - qe)) + np.log(np.abs(1 - qe * e)) \
-                + np.log(np.abs(1 - qe / e))
-        return out
+        """log|theta_1(z|tau)|; z reduced beforehand."""
+        return self.theta_quotient(z)[0] + self._log_abs_eta
 
     def log_abs_eta(self) -> float:
-        q, nmax = self._qn(self._nterms())
-        out = -2 * np.pi * self.im_tau / 24.0
-        for n in range(1, nmax):
-            out += math.log(abs(1 - q ** n))
-        return out
+        """log|eta(tau)|, a constant of the curve."""
+        return self._log_abs_eta
 
     def theta1_log_derivative(self, z):
         """theta_1'/theta_1 (z|tau); z reduced beforehand."""
-        q, nmax = self._qn(self._nterms())
-        z = np.asarray(z, dtype=complex)
-        e = np.exp(2j * np.pi * z)
-        out = np.pi / np.tan(np.pi * z)
-        for n in range(1, nmax):
-            qe = q ** n
-            out = out + 2j * np.pi * (-qe * e / (1 - qe * e) + qe / e / (1 - qe / e))
-        return out
+        return self.theta_quotient(z)[1]
 
     # -- the flat Green function ----------------------------------------
+    def green_pair(self, z):
+        """(g(z), dg/dz) from one theta pass; the antiholomorphic Wirtinger
+        derivative is the conjugate of dg/dz since g is real."""
+        zr = self.reduce(z)
+        log_ratio, dlog = self.theta_quotient(zr)
+        im = np.imag(zr)
+        return (-2.0 * log_ratio + 2 * np.pi * im ** 2 / self.im_tau,
+                -dlog - 2j * np.pi * im / self.im_tau)
+
     def green_function(self, z):
         """Zero-mean Green function g(z) of the invariant volume form."""
-        zr = self.reduce(z)
-        return (-2.0 * (self.log_abs_theta1(zr) - self.log_abs_eta())
-                + 2 * np.pi * np.imag(zr) ** 2 / self.im_tau)
+        return self.green_pair(z)[0]
 
     def green_dz(self, z):
-        """dg/dz (holomorphic Wirtinger derivative); antiholomorphic one is
-        the conjugate since g is real."""
-        zr = self.reduce(z)
-        return (-self.theta1_log_derivative(zr)
-                - 2j * np.pi * np.imag(zr) / self.im_tau)
+        """dg/dz (holomorphic Wirtinger derivative)."""
+        return self.green_pair(z)[1]
 
     def green_lattice(self, z, radius: int = 80,
                       regulators=(0.02, 0.01, 0.005)) -> float:

@@ -34,6 +34,15 @@ class TestCorrelator:
         ])
         assert code == 3
 
+    def test_p1_volume_measure_exit_3(self, capsys):
+        code = main([
+            "correlator", "--curve", "p1", "--mu", "volume",
+            "--word", "C(s:0 s:1 s:z)", "--point", "z=0.3+0.1i",
+            "--samples", "4096",
+        ])
+        assert code == 3
+        assert "delta measure" in capsys.readouterr().err
+
 
 class TestIdentities:
     def test_forms_suite(self, capsys):
@@ -45,6 +54,11 @@ class TestIdentities:
 
     def test_derivations_suite(self, capsys):
         assert main(["identities", "--suite", "derivations", "--trials", "4"]) == 0
+
+    def test_numeric_suite(self, capsys):
+        assert main(["identities", "--suite", "numeric", "--samples", "8192"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] dihedral_depth3" in out and "FAIL" not in out
 
     def test_trees_suite(self, capsys):
         assert main(["identities", "--suite", "trees", "--trials", "4",

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from hodgecor.engine import (
-    CorrelatorRequest, correlate, cyclic_polylog_series, elliptic_correlator,
-    levin_reference, multiple_green, symmetric_form_word,
+    CorrelatorRequest, _GreenEval, correlate, cyclic_polylog_series,
+    elliptic_correlator, levin_reference, multiple_green, symmetric_form_word,
 )
 from hodgecor.exact_algebra import CyclicElement, point
 from hodgecor.geometry import (
     INFINITY, EllipticCurve, GreenSpec, RationalCurve, cross_ratio,
-    ek_correlator_value, single_valued_polylog,
+    ek_correlator_value, green, single_valued_polylog,
 )
 
 P1 = RationalCurve()
@@ -167,6 +167,25 @@ class TestElliptic:
         r2 = elliptic_correlator(curve, w2, pts, samples=1 << 15, seed=18)
         # reversal at depth 2 flips the sign
         assert abs(r1.value + r2.value) < 3 * math.hypot(r1.stderr, r2.stderr)
+
+    @pytest.mark.parametrize("spec", (GreenSpec.delta(0.21 + 0.13j),
+                                      GreenSpec.volume()), ids=("delta", "volume"))
+    def test_green_eval_matches_green_and_finite_differences(self, spec):
+        curve = EllipticCurve(0.3 + 1.1j)
+        rng = np.random.default_rng(19)
+        x = rng.random(8) + rng.random(8) * curve.tau
+        y = rng.random(8) + rng.random(8) * curve.tau
+        g, dx, dy = _GreenEval(curve, spec, 0.5).eval(x, y, True, True)
+        assert np.max(np.abs(g - green(curve, spec, x, y, 0.5))) < 1e-12
+
+        def wirtinger(f, z, h=1e-6):
+            return ((f(z + h) - f(z - h))
+                    - 1j * (f(z + 1j * h) - f(z - 1j * h))) / (4 * h)
+
+        fd_dx = wirtinger(lambda t: green(curve, spec, t, y), x)
+        fd_dy = wirtinger(lambda t: green(curve, spec, x, t), y)
+        assert np.max(np.abs(dx - fd_dx)) < 1e-6
+        assert np.max(np.abs(dy - fd_dy)) < 1e-6
 
     def test_ek_involution_via_correlators(self):
         curve = EllipticCurve(1j)

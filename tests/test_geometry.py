@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -13,13 +14,43 @@ from hodgecor.geometry import (
 
 TAU = 1j
 E = EllipticCurve(TAU)
+SKEW = EllipticCurve(0.3 + 1.1j)
 RNG = np.random.default_rng(42)
 
 
-def random_torus_points(n, rng=RNG, margin=0.06):
+def random_torus_points(n, rng=RNG, margin=0.06, tau=TAU):
     u = margin + (1 - 2 * margin) * rng.random(n)
     v = margin + (1 - 2 * margin) * rng.random(n)
-    return u + v * complex(TAU)
+    return u + v * complex(tau)
+
+
+def triple_product_reference(curve, z, nmax=60):
+    """(log|theta_1|, log|eta|, theta_1'/theta_1) factor by factor, as
+    log|2 sin(pi z)| + sum_n log|1 - q^n| + log|1 - q^n e| + log|1 - q^n/e|
+    and pi cot(pi z) + 2 pi i sum_n (q^n/e/(1 - q^n/e) - q^n e/(1 - q^n e))."""
+    tau = complex(curve.tau)
+    q = cmath.exp(2j * math.pi * tau)
+    z = np.asarray(z, dtype=complex)
+    e = np.exp(2j * np.pi * z)
+    log_theta = np.log(np.abs(2 * np.sin(np.pi * z))) - 2 * np.pi * tau.imag / 8
+    log_eta = -2 * np.pi * tau.imag / 24
+    dlog = np.pi / np.tan(np.pi * z)
+    for n in range(1, nmax):
+        qn = q ** n
+        log_theta = (log_theta + np.log(np.abs(1 - qn)) + np.log(np.abs(1 - qn * e))
+                     + np.log(np.abs(1 - qn / e)))
+        log_eta += math.log(abs(1 - qn))
+        dlog = dlog + 2j * np.pi * (qn / e / (1 - qn / e) - qn * e / (1 - qn * e))
+    return log_theta, log_eta, dlog
+
+
+def near_boundary_points(tau, eps=1e-3):
+    """Reduced points within eps of the four lattice points of the frame and
+    of the four edges of the fundamental domain."""
+    uv = [(eps, eps), (1 - eps, eps), (eps, 1 - eps), (1 - eps, 1 - eps),
+          (0.5 * eps, 0.3), (1 - 0.5 * eps, 0.7), (0.4, 0.5 * eps),
+          (0.6, 1 - 0.5 * eps)]
+    return np.array([u + v * tau for u, v in uv])
 
 
 class TestGreenRational:
@@ -45,10 +76,44 @@ class TestGreenRational:
             assert abs(g + math.log(eps)) < 1e-2
 
 
+class TestThetaKernel:
+    @pytest.mark.parametrize("tau", (1j, 0.3 + 1.1j, 0.5j, 2j))
+    def test_matches_triple_product(self, tau):
+        curve = EllipticCurve(tau)
+        z = curve.reduce(np.concatenate([
+            random_torus_points(40, np.random.default_rng(7), 0.0, tau),
+            near_boundary_points(tau)]))
+        log_theta, log_eta, dlog = triple_product_reference(curve, z)
+        log_ratio, kernel_dlog = curve.theta_quotient(z)
+        assert np.max(np.abs(log_ratio - (log_theta - log_eta))) < 1e-12
+        assert np.max(np.abs(kernel_dlog - dlog) / np.abs(dlog)) < 1e-12
+        assert np.max(np.abs(curve.log_abs_theta1(z) - log_theta)) < 1e-12
+        assert abs(curve.log_abs_eta() - log_eta) < 1e-14
+        assert np.array_equal(curve.theta1_log_derivative(z), kernel_dlog)
+
+    @pytest.mark.parametrize("im_tau", (0.5, 1.0, 1.1, 2.0))
+    def test_first_omitted_factor_is_negligible(self, im_tau):
+        # |1 - t_n| <= |q^n e| + |q^n / e| + |q|^(2n) for the first factor
+        # n the product leaves out, at reduced points up to the top edge
+        tau = 0.3 + 1j * im_tau
+        curve = EllipticCurve(tau)
+        n = curve._nterms() + 1
+        qn = cmath.exp(2j * math.pi * tau) ** n
+        z = curve.reduce(np.concatenate([
+            random_torus_points(200, np.random.default_rng(3), 0.0, tau),
+            near_boundary_points(tau, 1e-9)]))
+        e = np.exp(2j * np.pi * z)
+        assert np.max(np.abs(qn * e) + np.abs(qn / e)) + abs(qn) ** 2 < 1e-17
+        # and no factor is kept that the tail bound does not need
+        q = math.exp(-2 * math.pi * im_tau)
+        assert n - 1 == 6 or q ** (n - 2) >= 1e-18
+
+
 class TestGreenElliptic:
     def test_two_evaluators_agree(self):
-        for z in random_torus_points(12):
-            assert abs(E.green_function(z) - E.green_ewald(z)) < 1e-9
+        for curve in (E, SKEW):
+            for z in random_torus_points(12, tau=curve.tau):
+                assert abs(curve.green_function(z) - curve.green_ewald(z)) < 1e-9
 
     def test_regulated_sum_agrees_loosely(self):
         # the Richardson-extrapolated Gaussian regulator is the slow check;
