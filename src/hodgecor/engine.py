@@ -33,7 +33,7 @@ from .exact_algebra import CyclicElement, antihol_form, hol_form, point
 from .form_calculus import omega_terms, omega_star_terms
 from .geometry import (EllipticCurve, GreenSpec, RationalCurve, is_infinity,
                        INFINITY, levin_polylog)
-from .tree_calculus import PlaneTree, enumerate_trivalent_trees
+from .tree_calculus import PlaneTree, _perm_parity, enumerate_trivalent_trees
 
 __all__ = [
     "CorrelatorRequest", "CorrelatorResult", "correlate", "multiple_green",
@@ -201,7 +201,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     green_ids = [e for e in dfs if e in greens]
     special_ids = [e for e in dfs if e not in greens]
     order = green_ids + special_ids
-    sign = _perm_sign([dfs.index(e) for e in order])
+    sign = _perm_parity(order, dfs)
     r = len(green_ids) - 1
 
     # kappa = internal vertices with no incident special edge
@@ -230,7 +230,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
             slots = [2 * v + (0 if h > 0 else 1) for (_, v, h) in pick] + fixed_slots
             if len(set(slots)) != len(slots) or len(slots) != 2 * k:
                 continue
-            wsign = _perm_sign(slots)
+            wsign = _perm_parity(slots, sorted(slots))
             terms.append((float(coeff) * wsign * sign, green_ids[j], tuple(pick)))
 
     # sampler hints
@@ -250,16 +250,6 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
             pairs.append((vs[0], vs[1]))
     return _CompiledTree(tree, k, greens, green_ids, specials, terms, sign,
                          anchors_of_var, pairs, kappa_vertices)
-
-
-def _perm_sign(seq) -> int:
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +356,6 @@ class _Mixture:
                     queue.append(w)
         if len(seen) != k:
             return None
-        order = [root] + [v for v in range(k) if v != root and parents[v] is not None]
         # order children after parents
         order = []
         pending = [root]
@@ -573,6 +562,9 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     mix = _Mixture(req.curve, comp, rho)
     # at least 8 batches so the batch-mean spread is a usable error estimate
     batch = max(1024, min(req.batch, req.samples // 8))
+    if req.scheme == "qmc":
+        # Sobol points keep their balance only in power-of-two blocks
+        batch = 1 << (batch - 1).bit_length()
     nbatches = max(8, (req.samples + batch - 1) // batch)
     means = np.empty(nbatches, dtype=complex)
     rejected = 0

@@ -25,6 +25,7 @@ __all__ = [
 
 _DTYPES = ("phi", "d", "db", "lap")
 _DEG_SHIFT = {"phi": 0, "d": 1, "db": 1, "lap": 2}
+_DTYPE_RANK = {t: i for i, t in enumerate(_DTYPES)}
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class FormSymbol:
         return self.base_degree + _DEG_SHIFT[self.dtype]
 
     def _key(self):
-        return (self.arg, _DTYPES.index(self.dtype))
+        return (self.arg, _DTYPE_RANK[self.dtype])
 
     def __str__(self):
         tag = {"phi": "", "d": "d", "db": "db", "lap": "lap"}[self.dtype]
@@ -52,20 +53,37 @@ class FormSymbol:
 def _sort_sign(symbols: Sequence[FormSymbol]):
     """Sort symbols by (arg, dtype) with the Koszul sign; None if an odd
     symbol repeats (its square is zero)."""
-    syms = list(symbols)
+    items = [(s._key(), s.degree % 2, s) for s in symbols]
     sign = 1
-    # insertion sort, counting degree-weighted transpositions
-    for i in range(1, len(syms)):
+    # insertion sort on (key, parity, symbol), counting degree-weighted
+    # transpositions
+    for i in range(1, len(items)):
         j = i
-        while j > 0 and syms[j - 1]._key() > syms[j]._key():
-            if (syms[j - 1].degree % 2) and (syms[j].degree % 2):
+        while j > 0 and items[j - 1][0] > items[j][0]:
+            if items[j - 1][1] and items[j][1]:
                 sign = -sign
-            syms[j - 1], syms[j] = syms[j], syms[j - 1]
+            items[j - 1], items[j] = items[j], items[j - 1]
             j -= 1
-    for a, b in zip(syms, syms[1:]):
-        if a == b and a.degree % 2:
+    for a, b in zip(items, items[1:]):
+        if a[1] and a[0] == b[0] and a[2] == b[2]:
             return None, ()
-    return sign, tuple(syms)
+    return sign, tuple(item[2] for item in items)
+
+
+def _add_term(acc: dict, mono, c) -> None:
+    """acc[mono] += c, in place."""
+    old = acc.get(mono)
+    acc[mono] = c if old is None else old + c
+
+
+def _add_terms(acc: dict, terms: dict, scale=1) -> None:
+    """acc += scale * terms, in place; the caller drops zeros once at the end."""
+    for mono, c in terms.items():
+        if scale == -1:
+            c = -c
+        elif scale != 1:
+            c = scale * c
+        _add_term(acc, mono, c)
 
 
 class FormPolynomial:
@@ -82,6 +100,17 @@ class FormPolynomial:
                     t[mono] = t.get(mono, Fraction(0)) + c
         self.terms = {m: c for m, c in t.items() if c}
 
+    @classmethod
+    def _from_canonical(cls, terms: dict) -> "FormPolynomial":
+        """Take ownership of a dict of canonical monomials with Fraction
+        coefficients and drop its zeros in place; the path for internal
+        builders, which skips re-normalising and re-hashing the keys."""
+        for mono in [m for m, c in terms.items() if not c]:
+            del terms[mono]
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
+
     @staticmethod
     def zero() -> "FormPolynomial":
         return FormPolynomial()
@@ -92,19 +121,20 @@ class FormPolynomial:
 
     def __add__(self, other):
         t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, Fraction(0)) + c
-        return FormPolynomial(t)
+        _add_terms(t, other.terms)
+        return FormPolynomial._from_canonical(t)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        t = dict(self.terms)
+        _add_terms(t, other.terms, -1)
+        return FormPolynomial._from_canonical(t)
 
     def __neg__(self):
-        return (-1) * self
+        return FormPolynomial._from_canonical({m: -c for m, c in self.terms.items()})
 
     def __rmul__(self, scalar):
         s = Fraction(scalar)
-        return FormPolynomial({m: s * c for m, c in self.terms.items()})
+        return FormPolynomial._from_canonical({m: s * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, FormPolynomial):
@@ -115,8 +145,9 @@ class FormPolynomial:
                 sign, mono = _sort_sign(m1 + m2)
                 if sign is None:
                     continue
-                t[mono] = t.get(mono, Fraction(0)) + sign * c1 * c2
-        return FormPolynomial(t)
+                c = c1 * c2
+                _add_term(t, mono, c if sign > 0 else -c)
+        return FormPolynomial._from_canonical(t)
 
     def __eq__(self, other):
         return isinstance(other, FormPolynomial) and self.terms == other.terms
@@ -128,10 +159,10 @@ class FormPolynomial:
         return pretty(self)
 
     def map_terms(self, fn: Callable) -> "FormPolynomial":
-        acc = FormPolynomial()
+        acc = {}
         for mono, c in self.terms.items():
-            acc = acc + c * fn(mono)
-        return acc
+            _add_terms(acc, fn(mono).terms, c)
+        return FormPolynomial._from_canonical(acc)
 
     def bidegree_component(self, n_d: int, n_db: int) -> "FormPolynomial":
         """Terms with exactly n_d 'd' symbols and n_db 'db' symbols."""
@@ -141,7 +172,7 @@ class FormPolynomial:
             cdb = sum(1 for s in mono if s.dtype == "db")
             if (cd, cdb) == (n_d, n_db):
                 out[mono] = c
-        return FormPolynomial(out)
+        return FormPolynomial._from_canonical(out)
 
 
 def phi(i: int, degree: int = 0) -> FormPolynomial:
@@ -172,10 +203,10 @@ def _derive(poly: FormPolynomial, which: str) -> FormPolynomial:
                 new = mono[:i] + (img,) + mono[i + 1:]
                 sgn, canon = _sort_sign(new)
                 if sgn is not None:
-                    t[canon] = t.get(canon, Fraction(0)) + c * sign_prefix * img_sign * sgn
+                    _add_term(t, canon, c if sign_prefix * img_sign * sgn > 0 else -c)
             if s.degree % 2:
                 sign_prefix = -sign_prefix
-    return FormPolynomial(t)
+    return FormPolynomial._from_canonical(t)
 
 
 def d(poly: FormPolynomial) -> FormPolynomial:
@@ -215,26 +246,29 @@ def alt(template: Callable[[Sequence[int]], FormPolynomial],
     `template(order)` must build the expression with argument ids permuted by
     `order`; signs follow the shifted-degree rule above.
     """
-    n = len(degrees)
-    acc = FormPolynomial()
-    for perm in itertools.permutations(range(n)):
-        acc = acc + _alt_sign(perm, degrees) * template(perm)
-    return acc
+    acc = {}
+    for perm in itertools.permutations(range(len(degrees))):
+        _add_terms(acc, template(perm).terms, _alt_sign(perm, degrees))
+    return FormPolynomial._from_canonical(acc)
 
 
 def _omega_template(degrees: Sequence[int]) -> Callable:
     m = len(degrees) - 1
+    # the factors do not depend on the permutation: build them once
+    phis = [phi(i, g) for i, g in enumerate(degrees)]
+    d_phis = [d(p) for p in phis]
+    db_phis = [db(p) for p in phis]
 
     def build(order: Sequence[int]) -> FormPolynomial:
-        acc = FormPolynomial()
+        acc = {}
         for k in range(m + 1):
-            term = phi(order[0], degrees[order[0]])
+            term = phis[order[0]]
             for idx in order[1:k + 1]:
-                term = term * d(phi(idx, degrees[idx]))
+                term = term * d_phis[idx]
             for idx in order[k + 1:]:
-                term = term * db(phi(idx, degrees[idx]))
-            acc = acc + Fraction((-1) ** k) * term
-        return acc
+                term = term * db_phis[idx]
+            _add_terms(acc, term.terms, (-1) ** k)
+        return FormPolynomial._from_canonical(acc)
 
     return build
 
@@ -294,24 +328,28 @@ def d_omega_identity(m: int, degrees: Sequence[int] | None = None) -> bool:
     for i in range(1, m + 1):
         term2 = term2 * db(phi(i, degrees[i]))
 
+    # omega_{m-1} by argument degrees, built once per call (not cached
+    # across calls, so every check redoes its own work)
+    inner = {}
+
     def lap_template(order):
         j = order[0]
-        rest = list(order[1:])
-        head = FormPolynomial({(FormSymbol(j, "lap", degrees[j]),): Fraction((-1) ** degrees[j])})
-        sub_degrees = [degrees[i] for i in rest]
-        sub = omega(m - 1, sub_degrees)
-        # re-index the inner omega's arguments 0..m-1 onto `rest`
-        remap = {i: rest[i] for i in range(m)}
-        sub2 = FormPolynomial({
-            tuple(FormSymbol(remap[s.arg], s.dtype, s.base_degree) for s in mono): c
-            for mono, c in sub.terms.items()})
-        # note: remapping must preserve canonical order signs
-        acc = FormPolynomial()
-        for mono, c in sub2.terms.items():
-            sgn, canon = _sort_sign(mono)
+        rest = order[1:]
+        head = FormPolynomial._from_canonical(
+            {(FormSymbol(j, "lap", degrees[j]),): Fraction((-1) ** degrees[j])})
+        sub_degrees = tuple(degrees[i] for i in rest)
+        sub = inner.get(sub_degrees)
+        if sub is None:
+            sub = inner[sub_degrees] = omega(m - 1, sub_degrees)
+        # re-index the inner omega's arguments 0..m-1 onto `rest`, re-sorting
+        # each monomial with its Koszul sign
+        acc = {}
+        for mono, c in sub.terms.items():
+            sgn, canon = _sort_sign(
+                tuple(FormSymbol(rest[s.arg], s.dtype, s.base_degree) for s in mono))
             if sgn is not None:
-                acc = acc + FormPolynomial({canon: sgn * c})
-        return head * acc
+                _add_term(acc, canon, c if sgn > 0 else -c)
+        return head * FormPolynomial._from_canonical(acc)
 
     lap_part = Fraction(1, math.factorial(m)) * alt(lap_template, degrees)
     rhs = Fraction((-1) ** m) * term1 + term2 + lap_part
@@ -331,19 +369,22 @@ def xi_eta(m: int, degrees: Sequence[int] | None = None):
     if degrees is None:
         degrees = [0] * (m + 1)
 
+    phis = [phi(i, g) for i, g in enumerate(degrees)]
+    dc_phis = [dC(p) for p in phis]
+
     def xi_template(order):
-        term = phi(order[0], degrees[order[0]])
+        term = phis[order[0]]
         for idx in order[1:]:
-            term = term * dC(phi(idx, degrees[idx]))
+            term = term * dc_phis[idx]
         return term
 
     pref = Fraction((-1) ** m, math.factorial(m + 1))
     xi = pref * alt(xi_template, degrees)
 
     def eta_template(order):
-        term = dC(phi(order[0], degrees[order[0]]))
+        term = dc_phis[order[0]]
         for idx in order[1:]:
-            term = term * dC(phi(idx, degrees[idx]))
+            term = term * dc_phis[idx]
         return term
 
     eta = pref * alt(eta_template, degrees)

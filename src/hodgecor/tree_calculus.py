@@ -541,26 +541,22 @@ def _branches_at_leaf(T: PlaneTree, pos: int) -> list:
     last = [a for a in arcs if end_of(a) == prev]
     rest = sorted((a for a in arcs if end_of(a) != prev),
                   key=lambda a: (start_of(a) - (pos + 1)) % npos)
-    if _S_BRANCH_ORDER == "end_first":
-        return last + rest
-    return rest + last
+    return last + rest
 
 
-def _emit(out, trees, coeff):
-    f = OrientedForest(trees, 1)
+def _forest_add(acc: dict, f: OrientedForest, c) -> None:
+    """acc += c * f in place; null forests are dropped."""
     if f.is_null():
         return
     key = f.trees
-    val = out.get(key, Fraction(0)) + Fraction(coeff) * f.sign
-    out[key] = val
+    val = c * f.sign
+    old = acc.get(key)
+    acc[key] = val if old is None else old + val
 
 
-def _join_pieces(pieces, edge_maps, new_ids, groups, pattern: str) -> list:
-    """Wedge-expression order of the cut pieces' edges as (piece, edge) pairs.
-
-    'interleave': E_1 ^ X_1 ^ E_2 ^ X_2 ^ ...
-    'newfirst':   E_1 ^ E_2 ^ ... ^ X_1 ^ X_2 ^ ...
-    'newlast':    X_1 ^ X_2 ^ ... ^ E_1 ^ E_2 ^ ...
+def _join_pieces(pieces, edge_maps, new_ids, groups) -> list:
+    """Wedge-expression order of the cut pieces' edges as (piece, edge) pairs:
+    the new edges first, E_1 ^ E_2 ^ ... ^ X_1 ^ X_2 ^ ... ('newfirst').
     A single-edge piece whose lone edge realizes an inherited edge
     contributes no separate new-edge factor.
     """
@@ -570,25 +566,11 @@ def _join_pieces(pieces, edge_maps, new_ids, groups, pattern: str) -> list:
         mapped.append(block)
         inserts.append(None if len(block) == len(pt.edges()) else (i, ne))
     ins = [x for x in inserts if x is not None]
-    if pattern == "interleave":
-        out = []
-        for x, block in zip(inserts, mapped):
-            if x is not None:
-                out.append(x)
-            out.extend(block)
-        return out
-    if pattern == "newfirst":
-        return ins + [e for block in mapped for e in block]
-    if pattern == "newlast":
-        return [e for block in mapped for e in block] + ins
-    raise ValueError(pattern)
+    return ins + [e for block in mapped for e in block]
 
 
-# join conventions for the cut differentials; pinned by the d^2 = 0 and
+# relative signs of the cut differentials; pinned by the d^2 = 0 and
 # intertwining tests
-_CAS_PATTERN = "newfirst"
-_S_PATTERN = "newfirst"
-_S_BRANCH_ORDER = "end_first"
 _S_SIGN = -1
 _DELTA_SIGN = -1
 
@@ -619,7 +601,7 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
                 comp.append(t)
                 expr.extend((idx, e) for e in t.edges())
                 canon.extend((idx, e) for e in t.edges())
-        _emit(out, comp, coeff * _perm_parity(expr, canon))
+        _forest_add(out, OrientedForest(comp), coeff * _perm_parity(expr, canon))
 
     for epos, edge in enumerate(L):
         g_par = -1 if (edges_before + epos) % 2 else 1
@@ -643,8 +625,7 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
             for alpha, dsign, alpha_vee in basis.pairs:
                 p1, m1, ne1 = _piece(T, side1, alpha)
                 p2, m2, ne2 = _piece(T, side2, alpha_vee)
-                flat = _join_pieces([p1, p2], [m1, m2], [ne1, ne2], groups,
-                                    _CAS_PATTERN)
+                flat = _join_pieces([p1, p2], [m1, m2], [ne1, ne2], groups)
                 assemble([p1, p2], flat, dsign * g_par * p_group)
 
         # (iii) removal of S-decorated leaves
@@ -661,7 +642,7 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
                 pieces.append(pt)
                 maps.append(mp)
                 news.append(ne)
-            flat = _join_pieces(pieces, maps, news, groups, _S_PATTERN)
+            flat = _join_pieces(pieces, maps, news, groups)
             assemble(pieces, flat, _S_SIGN * g_par * p_group)
 
 
@@ -743,18 +724,28 @@ class Wedge2:
                           for (x, y), c in sorted(self.terms.items(), key=str))
 
 
-def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters) -> Wedge2:
+def _wedge_add(t: dict, x: CyclicWord, y: CyclicWord, c) -> None:
+    """t += c * (x ^ y) in place, keeping the x < y keys of `Wedge2`."""
+    if x == y:
+        return
+    if y < x:
+        x, y, c = y, x, -c
+    old = t.get((x, y))
+    t[(x, y)] = c if old is None else old + c
+
+
+def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters, c, acc: dict):
+    """acc += c * delta(w), in place."""
     rep = w.rep
     n1 = len(rep)
-    acc = Wedge2()
     # Casimir part: cut two different arcs (arc g sits after position g)
     for g1 in range(n1):
         for g2 in range(g1 + 1, n1):
             piece1 = [rep[p % n1] for p in range(g1 + 1, g2 + 1)]
             piece2 = [rep[p % n1] for p in range(g2 + 1, g1 + 1 + n1)]
             for alpha, dsign, alpha_vee in basis.pairs:
-                acc = acc + Wedge2.pair(CyclicWord(piece1 + [alpha]),
-                                        CyclicWord(piece2 + [alpha_vee]), dsign)
+                _wedge_add(acc, CyclicWord(piece1 + [alpha]),
+                           CyclicWord(piece2 + [alpha_vee]), dsign * c)
     # S part: cut at an S letter and a non-adjacent arc; the letter is copied
     # into both pieces and the piece ending at the S-cut goes first
     for t0 in range(n1):
@@ -767,18 +758,17 @@ def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters) -> Wedge2:
             k2 = (g - t0) % n1
             first = [rep[p % n1] for p in range(g + 1, g + 1 + k1)] + [rep[t0]]
             second = [rep[p % n1] for p in range(t0 + 1, t0 + 1 + k2)] + [rep[t0]]
-            acc = acc + Wedge2.pair(CyclicWord(first), CyclicWord(second))
-    return acc
+            _wedge_add(acc, CyclicWord(first), CyclicWord(second), c)
 
 
 def cobracket(w: CyclicElement, basis: CasimirBasis,
               s_letters: set | None = None) -> Wedge2:
     """delta = delta_Casimir + delta_S on cyclic words."""
-    acc = Wedge2()
+    acc = {}
     for cw, c in w.terms.items():
         sl = s_letters if s_letters is not None else {x for x in cw.rep if x.kind == "s"}
-        acc = acc + c * _cobracket_word(cw, basis, sl)
-    return acc
+        _cobracket_word(cw, basis, sl, c, acc)
+    return Wedge2(acc)
 
 
 def cobracket_squared(w: CyclicElement, basis: CasimirBasis,
@@ -788,19 +778,27 @@ def cobracket_squared(w: CyclicElement, basis: CasimirBasis,
     out = {}
 
     def add3(a, b, c, coeff):
-        items = [a, b, c]
-        if len(set(items)) < 3:
+        """out += coeff * (a ^ b ^ c), keys sorted with the sorting sign."""
+        if a == b or b == c or a == c:
             return
-        perm = sorted(range(3), key=lambda i: items[i])
-        sgn = _perm_parity(perm, [0, 1, 2])
-        key = tuple(items[i] for i in perm)
-        out[key] = out.get(key, Fraction(0)) + coeff * sgn
+        if b < a:
+            a, b, coeff = b, a, -coeff
+        if c < b:
+            b, c, coeff = c, b, -coeff
+            if b < a:
+                a, b, coeff = b, a, -coeff
+        old = out.get((a, b, c))
+        out[(a, b, c)] = coeff if old is None else old + coeff
 
+    deltas = {}   # delta of each word, computed once per call
     for (a, b), c in cobracket(w, basis, s_letters).terms.items():
-        for elem, other, sgn0 in ((a, b, 1), (b, a, -1)):
-            da = cobracket(CyclicElement({elem: Fraction(1)}), basis, s_letters)
+        for elem, other, c0 in ((a, b, c), (b, a, -c)):
+            da = deltas.get(elem)
+            if da is None:
+                da = deltas[elem] = cobracket(CyclicElement({elem: Fraction(1)}),
+                                              basis, s_letters)
             for (u, v), cc in da.terms.items():
-                add3(u, v, other, c * cc * sgn0)
+                add3(u, v, other, c0 * cc)
     return {k: v for k, v in out.items() if v}
 
 
@@ -811,23 +809,23 @@ def cobracket_squared(w: CyclicElement, basis: CasimirBasis,
 def tree_sum_map(w: CyclicElement) -> ForestVector:
     """F(W) = sum of all decorated plane trivalent trees with canonical
     orientation; the degree-1 part of the forest complex."""
-    acc = ForestVector()
+    acc = {}
     for cw, c in w.terms.items():
         for f in enumerate_trivalent_trees(cw):
-            acc = acc + ForestVector.from_forest(f, c)
-    return acc
+            _forest_add(acc, f, c)
+    return ForestVector(acc)
 
 
 def tree_sum_ext(x: Wedge2) -> ForestVector:
     """F on Lambda^2: A ^ B -> F(A) * F(B) as two-component forests."""
-    acc = ForestVector()
+    acc = {}
     for (aw, bw), c in x.terms.items():
         for fa in enumerate_trivalent_trees(aw):
             for fb in enumerate_trivalent_trees(bw):
                 forest = OrientedForest(list(fa.trees) + list(fb.trees),
                                         fa.sign * fb.sign)
-                acc = acc + ForestVector.from_forest(forest, c)
-    return acc
+                _forest_add(acc, forest, c)
+    return ForestVector(acc)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ class TestEngineContracts:
         assert r1.value == r2.value
         t = bw_target(INFINITY, 0.0, 1.0, Z)
         assert abs(r1.value - t) < max(3 * r1.stderr, 0.05 * abs(t))
+
+    def test_qmc_odd_batch_raises_no_balance_warning(self):
+        word = CyclicElement.from_word([point("a"), point("b"), point("c")])
+        req = CorrelatorRequest(P1, DINF, word, {"a": 0.0, "b": 1.0, "c": Z},
+                                samples=1 << 14, seed=9, scheme="qmc", batch=1500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = correlate(req)
+        assert res.samples == 8 * 2048
 
     def test_linearity(self):
         labels = {"a": 0.0, "b": 1.0, "c": Z}

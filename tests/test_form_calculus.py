@@ -117,7 +117,7 @@ def test_move_operator_identities():
             assert lhs == rhs
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_d_omega_identity(m):
     assert d_omega_identity(m)
 
@@ -126,6 +126,29 @@ def test_d_omega_identity_degree_one_args():
     assert d_omega_identity(1, [1, 0])
     assert d_omega_identity(1, [1, 1])
     assert d_omega_identity(2, [1, 0, 0])
+    assert d_omega_identity(3, [1, 0, 1, 0])
+    assert d_omega_identity(2, [2, 0, 1])
+
+
+def test_arithmetic_leaves_operands_unchanged():
+    p = phi(0) * d(phi(1)) + Fraction(1, 2) * db(phi(2))
+    q = Fraction(-1, 2) * db(phi(2)) + phi(3, 1)
+    p_terms, q_terms = dict(p.terms), dict(q.terms)
+    s = p + q
+    assert s.terms is not p.terms and s.terms is not q.terms
+    assert Fraction(3) * p == p + p + p
+    assert p.terms == p_terms and q.terms == q_terms
+    # alt must not write into the polynomials its template hands back
+    built = {perm: p * d(phi(perm[0])) for perm in [(0, 1), (1, 0)]}
+    snapshots = {k: dict(v.terms) for k, v in built.items()}
+    alt(lambda order: built[tuple(order)], [0, 0])
+    assert all(built[k].terms == snapshots[k] for k in built)
+
+
+def test_omega_is_rebuilt_per_call():
+    first, second = omega(3), omega(3)
+    assert first == second
+    assert first is not second and first.terms is not second.terms
 
 
 def test_xi_equals_omega_at_one():

@@ -164,6 +164,13 @@ class TestCobracket:
                 CyclicWord([a, b]), CyclicWord([b, c]))
         assert got == expected
 
+    def test_operand_unchanged(self):
+        w = CyclicElement.from_word([S3[0], ALPHABET[3], S3[1]], 2) \
+            + CyclicElement.from_word([S3[2], S3[0], ALPHABET[4]])
+        before = dict(w.terms)
+        assert cobracket(w, BASIS)
+        assert w.terms == before
+
     def test_single_letter_words_closed(self):
         w = CyclicElement.from_word([point("x")])
         assert cobracket(w, BASIS) == Wedge2()
