@@ -253,49 +253,6 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
 
 
 # ----------------------------------------------------------------------
-# Green providers
-# ----------------------------------------------------------------------
-
-class _GreenEval:
-    """Vectorized values and Wirtinger derivatives of G for one edge."""
-
-    def __init__(self, curve, spec: GreenSpec, constant: float):
-        self.curve = curve
-        self.spec = spec
-        self.constant = constant
-
-    def eval(self, x, y, need_dx, need_dy):
-        """returns (G, dG/dx or None, dG/dy or None); conjugates give the
-        antiholomorphic derivatives since G is real.  On P^1 only the delta
-        measure occurs (`correlate` rejects the volume measure there)."""
-        if isinstance(self.curve, RationalCurve):
-            a = self.spec.base
-            d = x - y
-            g = np.log(np.abs(d))
-            dx = 0.5 / d if need_dx else None
-            dy = -0.5 / d if need_dy else None
-            if not is_infinity(a):
-                a = complex(a)
-                g = g - np.log(np.abs(x - a)) - np.log(np.abs(y - a))
-                if need_dx:
-                    dx = dx - 0.5 / (x - a)
-                if need_dy:
-                    dy = dy - 0.5 / (y - a)
-            return g + self.constant, dx, dy
-        # elliptic: one theta pass per Green-function argument
-        g, gz = self.curve.green_pair(x - y)
-        if self.spec.kind == "volume":
-            return (g + self.constant, (gz if need_dx else None),
-                    (-gz if need_dy else None))
-        a = complex(self.spec.base)
-        g_xa, gz_xa = self.curve.green_pair(x - a)
-        g_ay, gz_ay = self.curve.green_pair(a - y)
-        dx = gz - gz_xa if need_dx else None
-        dy = -gz + gz_ay if need_dy else None
-        return g - g_xa - g_ay + self.constant, dx, dy
-
-
-# ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
 
@@ -365,41 +322,14 @@ class _Mixture:
             pending.extend(w for w in range(k) if parents[w] == u)
         return tuple((v, parents[v]) for v in order[1:])
 
-    # -- per-curve global laws -------------------------------------------
-    def _draw_glob(self, rng, m):
-        if isinstance(self.curve, RationalCurve):
-            u = rng.random(m)
-            r = np.sqrt(1.0 / (1.0 - u) ** 2 - 1.0)
-            th = rng.random(m) * 2 * np.pi
-            return r * np.exp(1j * th)
-        tau = complex(self.curve.tau)
-        return rng.random(m) + rng.random(m) * tau
-
-    def _q_glob(self, z):
-        if isinstance(self.curve, RationalCurve):
-            return (1.0 / (2 * np.pi)) * (1.0 + np.abs(z) ** 2) ** -1.5
-        return np.full(np.shape(z), 1.0 / self.curve.im_tau)
-
-    def _sep(self, d):
-        if isinstance(self.curve, EllipticCurve):
-            return np.abs(self.curve.wrap(d))
-        return np.abs(d)
-
     def _q_polar(self, d):
-        r = self._sep(d)
+        r = self.curve.separation(d)
         return np.where(r < self.rho,
                         1.0 / (2 * np.pi * self.rho * np.maximum(r, 1e-300)), 0.0)
 
     def uniform_dim(self) -> int:
         # component selector + 2 uniforms per variable + polar (r, theta)
         return 1 + 2 * self.k + 2
-
-    def _glob_from_uniforms(self, u1, u2):
-        if isinstance(self.curve, RationalCurve):
-            r = np.sqrt(1.0 / (1.0 - u1 * (1 - 1e-12)) ** 2 - 1.0)
-            return r * np.exp(2j * np.pi * u2)
-        tau = complex(self.curve.tau)
-        return u1 + u2 * tau
 
     def build(self, U: np.ndarray):
         """Map a uniform matrix (n, uniform_dim) to antithetic point pairs."""
@@ -410,7 +340,7 @@ class _Mixture:
         ci = np.minimum(ci, len(self.comps) - 1)
         A = np.empty((n, k), dtype=complex)
         for v in range(k):
-            A[:, v] = self._glob_from_uniforms(U[:, 1 + 2 * v], U[:, 2 + 2 * v])
+            A[:, v] = self.curve.global_point(U[:, 1 + 2 * v], U[:, 2 + 2 * v])
         B = A.copy()
         r = self.rho * U[:, 1 + 2 * k]
         th = 2 * np.pi * U[:, 2 + 2 * k]
@@ -445,7 +375,7 @@ class _Mixture:
         return self.build(rng.random((n, self.uniform_dim())))
 
     def density(self, pts):
-        qg = self._q_glob(pts)
+        qg = self.curve.global_density(pts)
         prod_g = qg.prod(axis=1)
         q = self.wts[0] * prod_g
         for i, (kind, v, c) in enumerate(self.comps):
@@ -468,27 +398,28 @@ class _Mixture:
 # evaluation
 # ----------------------------------------------------------------------
 
+def _coord(desc, pts):
+    """Positions of an edge end over the rows of pts: an internal-vertex
+    column, or a fixed point repeated."""
+    if desc[0] == "v":
+        return pts[:, desc[1]]
+    return np.full(pts.shape[0], complex(desc[1]))
+
+
 def integrand(comp: _CompiledTree, req: CorrelatorRequest, pts: np.ndarray):
     """Top-form coefficient times the product measure factor (-2i)^k,
     evaluated at an (N, k) array of internal-vertex positions."""
     n = pts.shape[0]
-    ge = _GreenEval(req.curve, req.green, req.green_constant)
-
-    def coord(desc):
-        if desc[0] == "v":
-            return pts[:, desc[1]]
-        return np.full(n, complex(desc[1]))
-
     need = {}
     for (_, _, pick) in comp.terms:
         for (e, v, h) in pick:
             need.setdefault(e, set()).add(v)
     gval, gder = {}, {}
     for e, ends in comp.greens.items():
-        x, y = coord(ends[0]), coord(ends[1])
+        x, y = _coord(ends[0], pts), _coord(ends[1], pts)
         vx = ends[0][0] == "v" and ends[0][1] in need.get(e, ())
         vy = ends[1][0] == "v" and ends[1][1] in need.get(e, ())
-        g, dx, dy = ge.eval(x, y, vx, vy)
+        g, dx, dy = req.curve.green(req.green, x, y, req.green_constant, vx, vy)
         gval[e] = g
         dd = {}
         if vx:
@@ -518,25 +449,13 @@ def _normalization(comp: _CompiledTree, req: CorrelatorRequest) -> complex:
 
 def _singular_mask(comp, req, pts):
     """Rows within 1e-9 of a Green-function singularity."""
-    n = pts.shape[0]
-    bad = np.zeros(n, dtype=bool)
-    curve = req.curve
-
-    def sep(d):
-        if isinstance(curve, EllipticCurve):
-            return np.abs(curve.wrap(d))
-        return np.abs(d)
-
-    def coord(desc):
-        if desc[0] == "v":
-            return pts[:, desc[1]]
-        return np.full(n, complex(desc[1]))
-
+    bad = np.zeros(pts.shape[0], dtype=bool)
+    sep = req.curve.separation
     base = req.green.base if req.green.kind == "delta" else None
     for e, ends in comp.greens.items():
         if any(d[0] == "c" and is_infinity(d[1]) for d in ends):
             continue
-        x, y = coord(ends[0]), coord(ends[1])
+        x, y = _coord(ends[0], pts), _coord(ends[1], pts)
         bad |= sep(x - y) < 1e-9
         if base is not None and not is_infinity(base):
             if ends[0][0] == "v":
@@ -551,14 +470,12 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     (value, stderr, n_samples, n_rejected)."""
     if comp.k == 0:
         # single-edge tree: no integration
-        ge = _GreenEval(req.curve, req.green, req.green_constant)
         (e, ends), = comp.greens.items()
         x = np.full(1, complex(ends[0][1]))
         y = np.full(1, complex(ends[1][1]))
-        g, _, _ = ge.eval(x, y, False, False)
+        g, _, _ = req.curve.green(req.green, x, y, req.green_constant)
         return complex(comp.sign * g[0]), 0.0, 0, 0, True
-    rho = req.rho or (0.8 if isinstance(req.curve, RationalCurve) else
-                      0.28 * math.sqrt(req.curve.im_tau))
+    rho = req.rho or req.curve.default_rho
     mix = _Mixture(req.curve, comp, rho)
     # at least 8 batches so the batch-mean spread is a usable error estimate
     batch = max(1024, min(req.batch, req.samples // 8))
@@ -602,8 +519,7 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
 
 
 def _validate_request(req: CorrelatorRequest):
-    if isinstance(req.curve, RationalCurve) and req.green.kind != "delta":
-        raise ValueError("the engine integrates only the delta measure on P^1")
+    req.curve.check_measure(req.green)
     labels = {ell.label for ell in req.word.letters() if ell.kind == "s"}
     resolved = {lab: req.resolve_point(lab) for lab in labels}
     items = list(resolved.items())
@@ -652,8 +568,7 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
             rejected += rej
             stabilized &= stab
     meta = {
-        "curve": ("p1" if isinstance(req.curve, RationalCurve)
-                  else f"elliptic:tau={complex(req.curve.tau)}"),
+        "curve": req.curve.label,
         "green": repr(req.green.mu),
         "word": repr(req.word),
         "normalization": req.normalization,

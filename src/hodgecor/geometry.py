@@ -51,20 +51,80 @@ def is_infinity(z) -> bool:
         return False
 
 
+def _richardson(regulators, values):
+    """Value at regulator 0 of the least-squares quadratic through the
+    (regulator, value) pairs; values may be real or complex."""
+    A = np.vander(np.asarray(regulators, dtype=float), 3)
+    coef, *_ = np.linalg.lstsq(A, np.asarray(values), rcond=None)
+    return coef[-1]
+
+
 # ----------------------------------------------------------------------
 # curve models
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RationalCurve:
-    kind: str = "p1"
+    """The projective line in the affine coordinate z (INFINITY allowed as a
+    decoration or base point).  Like `EllipticCurve`, it supplies every law
+    the engine uses that depends on the curve: `green`, `separation`,
+    `global_point`/`global_density`, `default_rho`, `label` and
+    `check_measure`."""
 
-    def reduce(self, z):
-        return z
+    label = "p1"
+    default_rho = 0.8   # radius of the polar mixture components
+
+    @staticmethod
+    def check_measure(spec: GreenSpec):
+        """Only the delta measure (at a finite point or at infinity) is
+        supported on P^1."""
+        if spec.kind != "delta":
+            raise ValueError("only the delta measure is supported on P^1")
+
+    @staticmethod
+    def green(spec: GreenSpec, x, y, constant: float = 0.0,
+              need_dx: bool = False, need_dy: bool = False):
+        """(G_a(x, y) + constant, dG/dx or None, dG/dy or None) for the delta
+        measure at a; the antiholomorphic derivatives are the conjugates,
+        since G is real."""
+        a = spec.base
+        d = x - y
+        g = np.log(np.abs(d))
+        dx = 0.5 / d if need_dx else None
+        dy = -0.5 / d if need_dy else None
+        if not is_infinity(a):
+            a = complex(a)
+            g = g - np.log(np.abs(x - a)) - np.log(np.abs(y - a))
+            if need_dx:
+                dx = dx - 0.5 / (x - a)
+            if need_dy:
+                dy = dy - 0.5 / (y - a)
+        return g + constant, dx, dy
+
+    @staticmethod
+    def separation(d):
+        """Distance |d| of two points whose difference is d."""
+        return np.abs(d)
+
+    @staticmethod
+    def global_point(u1, u2):
+        """Point of C with modulus sqrt(1/(1-u1)^2 - 1) and argument
+        2 pi u2, for uniforms u1, u2 in [0, 1); its density, with a |z|^-3
+        tail, is `global_density`."""
+        r = np.sqrt(1.0 / (1.0 - u1 * (1 - 1e-12)) ** 2 - 1.0)
+        return r * np.exp(2j * np.pi * u2)
+
+    @staticmethod
+    def global_density(z):
+        """Density of `global_point` against d^2 z."""
+        return (1.0 / (2 * np.pi)) * (1.0 + np.abs(z) ** 2) ** -1.5
 
 
 @dataclass(frozen=True)
 class EllipticCurve:
+    """The torus C/(Z + tau Z); supplies the same per-curve laws as
+    `RationalCurve`."""
+
     tau: complex
 
     def __post_init__(self):
@@ -81,6 +141,22 @@ class EllipticCurve:
     @property
     def im_tau(self) -> float:
         return complex(self.tau).imag
+
+    @property
+    def label(self) -> str:
+        return f"elliptic:tau={complex(self.tau)}"
+
+    @property
+    def default_rho(self) -> float:
+        """Radius of the polar mixture components."""
+        return 0.28 * math.sqrt(self.im_tau)
+
+    @staticmethod
+    def check_measure(spec: GreenSpec):
+        """The volume measure or a delta at a point of the torus; a delta at
+        infinity exists only on P^1."""
+        if spec.kind == "delta" and is_infinity(spec.base):
+            raise ValueError("a delta measure at infinity exists only on P^1")
 
     def coords(self, z):
         """Real coordinates (u, v) with z = u + v tau."""
@@ -100,6 +176,19 @@ class EllipticCurve:
         tau = complex(self.tau)
         u, v = self.coords(z)
         return (u - np.round(u)) + (v - np.round(v)) * tau
+
+    def separation(self, d):
+        """Distance on the torus of two points whose difference is d."""
+        return np.abs(self.wrap(d))
+
+    def global_point(self, u1, u2):
+        """Uniform point u1 + u2 tau of the fundamental domain, for
+        uniforms u1, u2 in [0, 1)."""
+        return u1 + u2 * complex(self.tau)
+
+    def global_density(self, z):
+        """Density of `global_point` against d^2 z: 1/Im tau everywhere."""
+        return np.full(np.shape(z), 1.0 / self.im_tau)
 
     def chi(self, z, gamma):
         """Unitary pairing chi_z(gamma) between the torus and its lattice."""
@@ -170,6 +259,22 @@ class EllipticCurve:
         return (-2.0 * log_ratio + 2 * np.pi * im ** 2 / self.im_tau,
                 -dlog - 2j * np.pi * im / self.im_tau)
 
+    def green(self, spec: GreenSpec, x, y, constant: float = 0.0,
+              need_dx: bool = False, need_dy: bool = False):
+        """(G_mu(x, y) + constant, dG/dx or None, dG/dy or None): g(x - y)
+        for the volume measure, g(x - y) - g(x - a) - g(a - y) for the delta
+        measure at a; one theta pass per Green-function argument."""
+        g, gz = self.green_pair(x - y)
+        if spec.kind == "volume":
+            return (g + constant, (gz if need_dx else None),
+                    (-gz if need_dy else None))
+        a = complex(spec.base)
+        g_xa, gz_xa = self.green_pair(x - a)
+        g_ay, gz_ay = self.green_pair(a - y)
+        dx = gz - gz_xa if need_dx else None
+        dy = -gz + gz_ay if need_dy else None
+        return g - g_xa - g_ay + constant, dx, dy
+
     def green_function(self, z):
         """Zero-mean Green function g(z) of the invariant volume form."""
         return self.green_pair(z)[0]
@@ -190,13 +295,9 @@ class EllipticCurve:
         gam = gam[mask]
         a2 = np.abs(gam) ** 2
         ch = self.chi(complex(z), gam)
-        vals = []
-        for s in regulators:
-            vals.append(float(np.real(
-                (self.im_tau / np.pi) * np.sum(ch * np.exp(-s * a2) / a2))))
-        A = np.vander(np.asarray(regulators, dtype=float), 3)
-        coef, *_ = np.linalg.lstsq(A, np.asarray(vals), rcond=None)
-        return float(coef[-1])
+        vals = [float(np.real((self.im_tau / np.pi) * np.sum(ch * np.exp(-s * a2) / a2)))
+                for s in regulators]
+        return float(_richardson(regulators, vals))
 
     def green_ewald(self, z, eta: float = 1.0) -> float:
         """Ewald-split evaluation of the same lattice sum, exact in the
@@ -266,25 +367,11 @@ def green(curve: CurveModel, spec: GreenSpec, x, y, constant: float = 0.0):
     The delta-measure version is normalized by a unit tangent vector at the
     base point (vanishing specialization); `constant` shifts it, which is
     only visible in correlators without a degree-zero divisor factor.
+    Raises ValueError for a measure the curve does not support.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if isinstance(curve, RationalCurve):
-        if spec.kind == "delta":
-            a = spec.base
-            g = np.log(np.abs(x - y))
-            if not is_infinity(a):
-                a = complex(a)
-                g = g - np.log(np.abs(x - a)) - np.log(np.abs(y - a))
-            return g + constant
-        # Fubini-Study volume, normalized to zero mean
-        return (np.log(np.abs(x - y)) - 0.5 * np.log1p(np.abs(x) ** 2)
-                - 0.5 * np.log1p(np.abs(y) ** 2) + 0.5 + constant)
-    if spec.kind == "volume":
-        return curve.green_function(x - y) + constant
-    a = complex(spec.base)
-    return (curve.green_function(x - y) - curve.green_function(x - a)
-            - curve.green_function(a - y) + constant)
+    curve.check_measure(spec)
+    return curve.green(spec, np.asarray(x, dtype=complex),
+                       np.asarray(y, dtype=complex), constant)[0]
 
 
 def green_arakelov_decomposition(curve: EllipticCurve, a, x, y):
@@ -494,16 +581,11 @@ def ek_generating_series(curve: EllipticCurve, a, t, truncation: int = 8,
     gam = _lattice(curve, radius)
     ch = curve.chi(complex(a), gam)
     t = complex(t)
-    vals = []
     regs = (0.02, 0.01, 0.005)
     d2 = np.abs(gam - t) ** 2
     a2 = np.abs(gam) ** 2
-    for s in regs:
-        vals.append(complex(pref * np.sum(ch * np.exp(-s * a2) / d2)))
-    A = np.vander(np.asarray(regs, dtype=float), 3)
-    re, *_ = np.linalg.lstsq(A, np.real(vals), rcond=None)
-    im, *_ = np.linalg.lstsq(A, np.imag(vals), rcond=None)
-    direct = complex(re[-1], im[-1])
+    vals = [complex(pref * np.sum(ch * np.exp(-s * a2) / d2)) for s in regs]
+    direct = complex(_richardson(regs, vals))
 
     series = 0j
     for p in range(1, truncation + 1):

@@ -110,6 +110,25 @@ def _perm_parity(seq_from: Sequence, seq_to: Sequence) -> int:
     return sign
 
 
+def _children(intervals, lo: int, hi: int) -> list:
+    """Direct children (intervals and singleton positions) of the laminar
+    node spanning positions lo..hi, by increasing start position."""
+    block = (lo, hi)
+    inner = [iv for iv in intervals
+             if lo <= iv[0] and iv[1] <= hi and iv != block]
+    out, pos = [], lo
+    while pos <= hi:
+        tops = [iv for iv in inner if iv[0] == pos]
+        if tops:
+            iv = max(tops, key=lambda t: t[1])
+            out.append(iv)
+            pos = iv[1] + 1
+        else:
+            out.append(pos)
+            pos += 1
+    return out
+
+
 def _dfs_order(npos: int, intervals: frozenset) -> list:
     """Canonical edge order: position-0 leaf first, then depth first with
     children by increasing start position.  Single-edge trees (npos == 2,
@@ -117,25 +136,10 @@ def _dfs_order(npos: int, intervals: frozenset) -> list:
     if npos == 2 and not intervals:
         return [("leaf", 0)]
 
-    def children(block):
-        lo, hi = block
-        inner = [iv for iv in intervals if lo <= iv[0] and iv[1] <= hi and iv != block]
-        out, pos = [], lo
-        while pos <= hi:
-            tops = [iv for iv in inner if iv[0] == pos]
-            if tops:
-                iv = max(tops, key=lambda t: t[1])
-                out.append(iv)
-                pos = iv[1] + 1
-            else:
-                out.append(pos)
-                pos += 1
-        return out
-
     order = [("leaf", 0)]
 
     def rec(block):
-        for ch in children(block):
+        for ch in _children(intervals, *block):
             if isinstance(ch, tuple):
                 order.append(("int", ch))
                 rec(ch)
@@ -260,19 +264,7 @@ class PlaneTree:
         if block in self._child:
             return self._child[block]
         lo, hi = (1, self.n) if block == ("root",) else block
-        inner = [iv for iv in self.intervals
-                 if lo <= iv[0] and iv[1] <= hi and iv != block]
-        out, pos = [], lo
-        while pos <= hi:
-            tops = [iv for iv in inner if iv[0] == pos]
-            if tops:
-                iv = max(tops, key=lambda t: t[1])
-                out.append(iv)
-                pos = iv[1] + 1
-            else:
-                out.append(pos)
-                pos += 1
-        self._child[block] = out
+        out = self._child[block] = _children(self.intervals, lo, hi)
         return out
 
     def vertex_valencies(self) -> list:

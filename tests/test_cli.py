@@ -43,6 +43,16 @@ class TestCorrelator:
         assert code == 3
         assert "delta measure" in capsys.readouterr().err
 
+    def test_torus_delta_at_infinity_exit_3(self, capsys):
+        code = main([
+            "correlator", "--curve", "elliptic:tau=1i", "--mu", "delta:inf",
+            "--word", "C(s:a s:b s:c)", "--point", "a=0.1+0.2i",
+            "--point", "b=0.5+0.3i", "--point", "c=0.7+0.8i",
+            "--samples", "4096",
+        ])
+        assert code == 3
+        assert "infinity" in capsys.readouterr().err
+
 
 class TestIdentities:
     def test_forms_suite(self, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hodgecor.engine import (
-    CorrelatorRequest, _GreenEval, correlate, cyclic_polylog_series,
+    CorrelatorRequest, correlate, cyclic_polylog_series,
     elliptic_correlator, levin_reference, multiple_green, symmetric_form_word,
 )
 from hodgecor.exact_algebra import CyclicElement, point
@@ -178,14 +178,18 @@ class TestElliptic:
         # reversal at depth 2 flips the sign
         assert abs(r1.value + r2.value) < 3 * math.hypot(r1.stderr, r2.stderr)
 
-    @pytest.mark.parametrize("spec", (GreenSpec.delta(0.21 + 0.13j),
-                                      GreenSpec.volume()), ids=("delta", "volume"))
-    def test_green_eval_matches_green_and_finite_differences(self, spec):
-        curve = EllipticCurve(0.3 + 1.1j)
+    @pytest.mark.parametrize("curve, spec", (
+        (EllipticCurve(0.3 + 1.1j), GreenSpec.delta(0.21 + 0.13j)),
+        (EllipticCurve(0.3 + 1.1j), GreenSpec.volume()),
+        (P1, GreenSpec.delta(0.21 + 0.13j)),
+        (P1, DINF),
+    ), ids=("delta", "volume", "p1-delta", "p1-delta-inf"))
+    def test_green_eval_matches_green_and_finite_differences(self, curve, spec):
+        frame = curve.tau if isinstance(curve, EllipticCurve) else 1j
         rng = np.random.default_rng(19)
-        x = rng.random(8) + rng.random(8) * curve.tau
-        y = rng.random(8) + rng.random(8) * curve.tau
-        g, dx, dy = _GreenEval(curve, spec, 0.5).eval(x, y, True, True)
+        x = rng.random(8) + rng.random(8) * frame
+        y = rng.random(8) + rng.random(8) * frame
+        g, dx, dy = curve.green(spec, x, y, 0.5, True, True)
         assert np.max(np.abs(g - green(curve, spec, x, y, 0.5))) < 1e-12
 
         def wirtinger(f, z, h=1e-6):

@@ -76,6 +76,29 @@ class TestGreenRational:
             assert abs(g + math.log(eps)) < 1e-2
 
 
+class TestCurveLaws:
+    @pytest.mark.parametrize("curve, centre, radius", (
+        (RationalCurve(), 0.5 + 0.2j, 1.5),
+        (SKEW, 0.5 + 0.5 * SKEW.tau, 0.3),
+    ), ids=("p1", "torus"))
+    def test_global_density_is_density_of_global_point(self, curve, centre, radius):
+        # z ~ q gives E[1_D(z) / q(z)] = area(D); D is a disc inside the
+        # fundamental domain on the torus
+        rng = np.random.default_rng(7)
+        z = curve.global_point(rng.random(1 << 16), rng.random(1 << 16))
+        w = (np.abs(z - centre) < radius) / curve.global_density(z)
+        se = w.std() / math.sqrt(w.size)
+        assert abs(w.mean() - math.pi * radius ** 2) < 4 * se
+
+    @pytest.mark.parametrize("curve, spec", (
+        (RationalCurve(), GreenSpec.volume()),
+        (E, GreenSpec.delta(INFINITY)),
+    ), ids=("p1-volume", "torus-delta-inf"))
+    def test_unsupported_measure_rejected(self, curve, spec):
+        with pytest.raises(ValueError):
+            green(curve, spec, 0.1 + 0.2j, 0.5 + 0.3j)
+
+
 class TestThetaKernel:
     @pytest.mark.parametrize("tau", (1j, 0.3 + 1.1j, 0.5j, 2j))
     def test_matches_triple_product(self, tau):
