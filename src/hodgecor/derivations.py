@@ -21,10 +21,9 @@ the S-term carries no extra factor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact_algebra import (
-    AlgebraElement, CyclicElement, concat, cyclic_project,
+    AlgebraElement, CyclicElement, add_into, concat, cyclic_project,
     partial_derivative, point, sympl_p, sympl_q,
 )
 
@@ -85,8 +84,8 @@ class Derivation:
                     nw = w[:i] + w2 + w[i + 1:]
                     if self.max_degree is not None and len(nw) > self.max_degree:
                         continue
-                    t[nw] = t.get(nw, Fraction(0)) + c * c2
-        return AlgebraElement({w: c for w, c in t.items() if c})
+                    add_into(t, nw, c * c2)
+        return AlgebraElement._from_canonical(t)
 
     def commutator_with(self, other: "Derivation", letters) -> "Derivation":
         out = {}

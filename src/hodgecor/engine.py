@@ -96,24 +96,20 @@ class CorrelatorResult:
 # compilation
 # ----------------------------------------------------------------------
 
+@dataclass(slots=True)
 class _CompiledTree:
     """Flattened integrand template for one decorated tree."""
 
-    __slots__ = ("tree", "k", "greens", "green_ids", "specials", "terms",
-                 "sign", "anchors_of_var", "pairs", "kappa_vertices")
-
-    def __init__(self, tree, k, greens, green_ids, specials, terms, sign,
-                 anchors_of_var, pairs, kappa_vertices):
-        self.tree = tree
-        self.k = k
-        self.greens = greens
-        self.green_ids = green_ids
-        self.specials = specials
-        self.terms = terms
-        self.sign = sign
-        self.anchors_of_var = anchors_of_var
-        self.pairs = pairs
-        self.kappa_vertices = kappa_vertices
+    tree: PlaneTree
+    k: int
+    greens: dict
+    green_ids: list
+    specials: list
+    terms: list
+    sign: int
+    anchors_of_var: list
+    pairs: list
+    kappa_vertices: int
 
 
 def _edge_endpoints(tree: PlaneTree):
@@ -521,21 +517,23 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
 def _validate_request(req: CorrelatorRequest):
     req.curve.check_measure(req.green)
     labels = {ell.label for ell in req.word.letters() if ell.kind == "s"}
-    resolved = {lab: req.resolve_point(lab) for lab in labels}
-    items = list(resolved.items())
+    items = [(lab, req.resolve_point(lab)) for lab in labels]
+
+    def same(a, b) -> bool:
+        """Equal points of the curve (on a torus, equal up to a period), at
+        the threshold `_singular_mask` uses; two infinities are equal."""
+        if is_infinity(a) or is_infinity(b):
+            return is_infinity(a) and is_infinity(b)
+        return req.curve.separation(complex(a) - complex(b)) < 1e-9
+
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
-            a, b = items[i][1], items[j][1]
-            if (is_infinity(a) and is_infinity(b)) or \
-                    (not is_infinity(a) and not is_infinity(b) and complex(a) == complex(b)):
+            if same(items[i][1], items[j][1]):
                 raise ValueError(f"decoration points {items[i][0]!r} and "
                                  f"{items[j][0]!r} coincide")
     if req.green.kind == "delta":
-        base = req.green.base
         for lab, val in items:
-            same_inf = is_infinity(val) and is_infinity(base)
-            if same_inf or (not is_infinity(val) and not is_infinity(base)
-                            and complex(val) == complex(base)):
+            if same(val, req.green.base):
                 raise ValueError(f"decoration point {lab!r} sits on the base point")
 
 
@@ -590,9 +588,6 @@ def multiple_green(curve, spec: GreenSpec, pts: list, **kw) -> CorrelatorResult:
     """Depth-(len(pts)-1) multiple Green function of the given points."""
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    if len(set(map(complex, [p for p in pts if not is_infinity(p)]))) \
-            != len([p for p in pts if not is_infinity(p)]):
-        raise ValueError("points must be pairwise distinct")
     labels = {f"g{i}": p for i, p in enumerate(pts)}
     w = CyclicElement.from_word([point(f"g{i}") for i in range(len(pts))])
     req = CorrelatorRequest(curve=curve, green=spec, word=w, points=labels, **kw)

@@ -4,7 +4,8 @@ Everything here is built on `fractions.Fraction`; no floating point enters.
 Letters come from a small decoration alphabet (marked points, holomorphic /
 antiholomorphic 1-form symbols, symplectic generators), words are tuples of
 letters, and elements of the tensor algebra / its cyclic envelope are sparse
-dicts mapping (cyclic) words to rational coefficients.
+dicts mapping (cyclic) words to rational coefficients.  `LinearCombination`
+holds that sparse format for every exact linear combination of the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "Letter", "Word", "AlgebraElement", "CyclicWord", "CyclicElement",
-    "TensorSquareQ",
+    "TensorSquareQ", "LinearCombination",
     "point", "hol_form", "antihol_form", "sympl_p", "sympl_q",
     "word", "concat", "cyclic_project", "shuffle_sum", "shuffles",
     "partial_derivative", "derivative_identity_check", "is_lie_element",
@@ -87,32 +88,90 @@ def word(*letters: Letter) -> Word:
     return tuple(letters)
 
 
-def _clean(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
+def add_into(acc: dict, key, c) -> None:
+    """acc[key] += c, in place; the zeros this leaves are dropped once, by
+    `LinearCombination._from_canonical`."""
+    old = acc.get(key)
+    acc[key] = c if old is None else old + c
 
 
-class AlgebraElement:
-    """Element of the free tensor algebra with rational coefficients."""
+class LinearCombination:
+    """Sparse rational vector: `terms` maps canonical keys to nonzero
+    Fractions.  The vector-space operations live here; a subclass
+    canonicalises its keys in `__init__` and adds its own products,
+    structure maps and `__repr__`."""
 
     __slots__ = ("terms",)
 
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = self._summed((terms or {}).items())
+
+    @staticmethod
+    def _summed(pairs) -> dict:
+        """{key: sum of its coefficients} over (key, coefficient) pairs, with
+        the coefficients made Fractions and the zeros dropped."""
+        acc = {}
+        for k, c in pairs:
+            c = Fraction(c)
+            if c:
+                add_into(acc, k, c)
+        return {k: c for k, c in acc.items() if c}
+
+    @classmethod
+    def _from_canonical(cls, terms: dict):
+        """Take ownership of a dict of canonical keys with Fraction
+        coefficients and drop its zeros in place; the path for internal
+        builders, which skips re-normalising and re-hashing the keys."""
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
+        new = object.__new__(cls)
+        new.terms = terms
+        return new
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            add_into(t, k, c)
+        return self._from_canonical(t)
+
+    def __sub__(self, other):
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            add_into(t, k, -c)
+        return self._from_canonical(t)
+
+    def __neg__(self):
+        return self._from_canonical({k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        s = Fraction(scalar)
+        return self._from_canonical({k: s * c for k, c in self.terms.items()})
+
+    __mul__ = __rmul__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class AlgebraElement(LinearCombination):
+    """Element of the free tensor algebra with rational coefficients."""
+
+    __slots__ = ()
+
     def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    t[tuple(w)] = t.get(tuple(w), Fraction(0)) + c
-        self.terms = _clean(t)
+        self.terms = self._summed((tuple(w), c) for w, c in (terms or {}).items())
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero() -> "AlgebraElement":
-        return AlgebraElement()
+        return AlgebraElement._from_canonical({})
 
     @staticmethod
     def one() -> "AlgebraElement":
-        return AlgebraElement({(): Fraction(1)})
+        return AlgebraElement._from_canonical({(): Fraction(1)})
 
     @staticmethod
     def from_word(w: Iterable[Letter], coeff=1) -> "AlgebraElement":
@@ -120,38 +179,16 @@ class AlgebraElement:
 
     @staticmethod
     def gen(letter: Letter) -> "AlgebraElement":
-        return AlgebraElement({(letter,): Fraction(1)})
+        return AlgebraElement._from_canonical({(letter,): Fraction(1)})
 
     # -- ring structure -----------------------------------------------
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, Fraction(0)) + c
-        return AlgebraElement(_clean(t))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({w: -c for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        s = Fraction(scalar)
-        return AlgebraElement({w: s * c for w, c in self.terms.items()})
-
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
             return concat(self, other)
         return self.__rmul__(other)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -180,7 +217,8 @@ class AlgebraElement:
         return d
 
     def truncate(self, max_degree: int) -> "AlgebraElement":
-        return AlgebraElement({w: c for w, c in self.terms.items() if len(w) <= max_degree})
+        return AlgebraElement._from_canonical(
+            {w: c for w, c in self.terms.items() if len(w) <= max_degree})
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return concat(self, other) - concat(other, self)
@@ -191,9 +229,8 @@ def concat(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     t = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            w = w1 + w2
-            t[w] = t.get(w, Fraction(0)) + c1 * c2
-    return AlgebraElement(_clean(t))
+            add_into(t, w1 + w2, c1 * c2)
+    return AlgebraElement._from_canonical(t)
 
 
 class CyclicWord:
@@ -239,54 +276,25 @@ class CyclicWord:
         return "C(" + " ".join(map(str, self.rep)) + ")"
 
 
-class CyclicElement:
+class CyclicElement(LinearCombination):
     """Rational linear combination of cyclic words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[CyclicWord, Fraction] | None = None):
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    t[w] = t.get(w, Fraction(0)) + c
-        self.terms = _clean(t)
+    # keys are canonical already (CyclicWord stores its minimal rotation);
+    # an entry of its own, so each class's allocations can be counted apart
+    __init__ = LinearCombination.__init__
 
     @staticmethod
     def zero() -> "CyclicElement":
-        return CyclicElement()
+        return CyclicElement._from_canonical({})
 
     @staticmethod
     def from_word(letters: Iterable[Letter], coeff=1) -> "CyclicElement":
         return CyclicElement({CyclicWord(letters): Fraction(coeff)})
 
-    def __add__(self, other: "CyclicElement") -> "CyclicElement":
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, Fraction(0)) + c
-        return CyclicElement(_clean(t))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CyclicElement({w: -c for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        s = Fraction(scalar)
-        return CyclicElement({w: s * c for w, c in self.terms.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicElement) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -313,9 +321,8 @@ def cyclic_project(a: AlgebraElement) -> CyclicElement:
     for w, c in a.terms.items():
         if not w:
             continue
-        cw = CyclicWord(w)
-        t[cw] = t.get(cw, Fraction(0)) + c
-    return CyclicElement(_clean(t))
+        add_into(t, CyclicWord(w), c)
+    return CyclicElement._from_canonical(t)
 
 
 def shuffles(p: int, q: int) -> Iterator[tuple]:
@@ -341,11 +348,10 @@ def shuffle_sum(head: Letter, block1: list, block2: list) -> CyclicElement:
     if p < 1 or q < 1:
         raise ValueError("both shuffle blocks must be non-empty")
     merged = list(block1) + list(block2)
-    acc = CyclicElement()
+    acc = {}
     for sigma in shuffles(p, q):
-        lettersw = (head,) + tuple(merged[i] for i in sigma)
-        acc = acc + CyclicElement.from_word(lettersw)
-    return acc
+        add_into(acc, CyclicWord((head,) + tuple(merged[i] for i in sigma)), Fraction(1))
+    return CyclicElement._from_canonical(acc)
 
 
 def partial_derivative(F: CyclicElement, x: Letter) -> AlgebraElement:
@@ -356,9 +362,8 @@ def partial_derivative(F: CyclicElement, x: Letter) -> AlgebraElement:
         w = cw.rep
         for i, ell in enumerate(w):
             if ell == x:
-                nw = w[i + 1:] + w[:i]
-                t[nw] = t.get(nw, Fraction(0)) + c
-    return AlgebraElement(_clean(t))
+                add_into(t, w[i + 1:] + w[:i], c)
+    return AlgebraElement._from_canonical(t)
 
 
 def derivative_identity_check(F: CyclicElement) -> AlgebraElement:
@@ -378,8 +383,8 @@ def _unshuffle_reduced(a: AlgebraElement) -> dict:
         for mask in range(1, (1 << n) - 1):
             left = tuple(w[i] for i in range(n) if mask >> i & 1)
             right = tuple(w[i] for i in range(n) if not mask >> i & 1)
-            t[(left, right)] = t.get((left, right), Fraction(0)) + c
-    return _clean(t)
+            add_into(t, (left, right), c)
+    return {k: c for k, c in t.items() if c}
 
 
 def is_lie_element(a: AlgebraElement) -> bool:
@@ -419,20 +424,17 @@ def _rational_vector(r: Fraction) -> tuple[int, dict]:
     v = _factor(num)
     for p, e in _factor(den).items():
         v[p] = v.get(p, 0) - e
-    return sign, _clean(v)
+    return sign, {p: e for p, e in v.items() if e}
 
 
-class TensorSquareQ:
+class TensorSquareQ(LinearCombination):
     """Element of (Q* tensor Q*) tensor Q, in the basis of prime pairs.
 
     Pairs involving the unit -1 are 2-torsion; they are stored under the
     symbol -1 and ignored by `mod_two_torsion`.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        self.terms = _clean({k: Fraction(v) for k, v in (terms or {}).items()})
+    __slots__ = ()
 
     @staticmethod
     def pair(a: Fraction, b: Fraction, coeff=1) -> "TensorSquareQ":
@@ -442,33 +444,15 @@ class TensorSquareQ:
         items_a = list(va.items()) + ([(-1, 1)] if sa < 0 else [])
         items_b = list(vb.items()) + ([(-1, 1)] if sb < 0 else [])
         for (p, e), (q, f) in itertools.product(items_a, items_b):
-            key = (p, q)
-            t[key] = t.get(key, Fraction(0)) + Fraction(coeff) * e * f
-        return TensorSquareQ(_clean(t))
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + v
-        return TensorSquareQ(_clean(t))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, s):
-        s = Fraction(s)
-        return TensorSquareQ({k: s * v for k, v in self.terms.items()})
-
-    __mul__ = __rmul__
+            add_into(t, (p, q), Fraction(coeff) * e * f)
+        return TensorSquareQ._from_canonical(t)
 
     def mod_two_torsion(self) -> "TensorSquareQ":
-        return TensorSquareQ({k: v for k, v in self.terms.items() if -1 not in k})
+        return TensorSquareQ._from_canonical(
+            {k: v for k, v in self.terms.items() if -1 not in k})
 
     def is_zero_mod_two_torsion(self) -> bool:
         return not self.mod_two_torsion().terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSquareQ) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -541,7 +525,7 @@ def parse_element(text: str) -> CyclicElement:
     """Parse sums like `3/2*C(s:a s:b) - C(s:a dz1)`."""
     s = text.replace("-", "+-").replace(" ", " ")
     parts = [p.strip() for p in s.split("+") if p.strip()]
-    acc = CyclicElement()
+    acc = {}
     for part in parts:
         coeff = Fraction(1)
         if part.startswith("-"):
@@ -550,8 +534,8 @@ def parse_element(text: str) -> CyclicElement:
         if "*" in part:
             cs, part = part.split("*", 1)
             coeff *= Fraction(cs.strip())
-        acc = acc + coeff * CyclicElement({parse_cyclic(part): Fraction(1)})
-    return acc
+        add_into(acc, parse_cyclic(part), coeff)
+    return CyclicElement._from_canonical(acc)
 
 
 def format_cyclic(w: CyclicWord) -> str:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .exact_algebra import LinearCombination, add_into
+
 __all__ = [
     "FormSymbol", "FormPolynomial", "phi", "d", "db", "dC", "total_d",
     "alt", "omega", "omega_terms", "d_omega_identity", "xi_eta",
@@ -70,73 +72,25 @@ def _sort_sign(symbols: Sequence[FormSymbol]):
     return sign, tuple(item[2] for item in items)
 
 
-def _add_term(acc: dict, mono, c) -> None:
-    """acc[mono] += c, in place."""
-    old = acc.get(mono)
-    acc[mono] = c if old is None else old + c
-
-
-def _add_terms(acc: dict, terms: dict, scale=1) -> None:
-    """acc += scale * terms, in place; the caller drops zeros once at the end."""
-    for mono, c in terms.items():
-        if scale == -1:
-            c = -c
-        elif scale != 1:
-            c = scale * c
-        _add_term(acc, mono, c)
-
-
-class FormPolynomial:
+class FormPolynomial(LinearCombination):
     """Sparse rational combination of canonically ordered form monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    t[mono] = t.get(mono, Fraction(0)) + c
-        self.terms = {m: c for m, c in t.items() if c}
-
-    @classmethod
-    def _from_canonical(cls, terms: dict) -> "FormPolynomial":
-        """Take ownership of a dict of canonical monomials with Fraction
-        coefficients and drop its zeros in place; the path for internal
-        builders, which skips re-normalising and re-hashing the keys."""
-        for mono in [m for m, c in terms.items() if not c]:
-            del terms[mono]
-        poly = object.__new__(cls)
-        poly.terms = terms
-        return poly
+    # monomials arrive canonically ordered; an entry of its own, so each
+    # class's allocations can be counted apart
+    __init__ = LinearCombination.__init__
 
     @staticmethod
     def zero() -> "FormPolynomial":
-        return FormPolynomial()
+        return FormPolynomial._from_canonical({})
 
     @staticmethod
     def from_symbol(s: FormSymbol) -> "FormPolynomial":
-        return FormPolynomial({(s,): Fraction(1)})
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        _add_terms(t, other.terms)
-        return FormPolynomial._from_canonical(t)
-
-    def __sub__(self, other):
-        t = dict(self.terms)
-        _add_terms(t, other.terms, -1)
-        return FormPolynomial._from_canonical(t)
-
-    def __neg__(self):
-        return FormPolynomial._from_canonical({m: -c for m, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        s = Fraction(scalar)
-        return FormPolynomial._from_canonical({m: s * c for m, c in self.terms.items()})
+        return FormPolynomial._from_canonical({(s,): Fraction(1)})
 
     def __mul__(self, other):
+        """The wedge product, with Koszul signs; a scalar scales."""
         if not isinstance(other, FormPolynomial):
             return self.__rmul__(other)
         t = {}
@@ -146,14 +100,8 @@ class FormPolynomial:
                 if sign is None:
                     continue
                 c = c1 * c2
-                _add_term(t, mono, c if sign > 0 else -c)
+                add_into(t, mono, c if sign > 0 else -c)
         return FormPolynomial._from_canonical(t)
-
-    def __eq__(self, other):
-        return isinstance(other, FormPolynomial) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         return pretty(self)
@@ -161,7 +109,8 @@ class FormPolynomial:
     def map_terms(self, fn: Callable) -> "FormPolynomial":
         acc = {}
         for mono, c in self.terms.items():
-            _add_terms(acc, fn(mono).terms, c)
+            for m2, c2 in fn(mono).terms.items():
+                add_into(acc, m2, c * c2)
         return FormPolynomial._from_canonical(acc)
 
     def bidegree_component(self, n_d: int, n_db: int) -> "FormPolynomial":
@@ -203,7 +152,7 @@ def _derive(poly: FormPolynomial, which: str) -> FormPolynomial:
                 new = mono[:i] + (img,) + mono[i + 1:]
                 sgn, canon = _sort_sign(new)
                 if sgn is not None:
-                    _add_term(t, canon, c if sign_prefix * img_sign * sgn > 0 else -c)
+                    add_into(t, canon, c if sign_prefix * img_sign * sgn > 0 else -c)
             if s.degree % 2:
                 sign_prefix = -sign_prefix
     return FormPolynomial._from_canonical(t)
@@ -248,7 +197,9 @@ def alt(template: Callable[[Sequence[int]], FormPolynomial],
     """
     acc = {}
     for perm in itertools.permutations(range(len(degrees))):
-        _add_terms(acc, template(perm).terms, _alt_sign(perm, degrees))
+        sign = _alt_sign(perm, degrees)
+        for mono, c in template(perm).terms.items():
+            add_into(acc, mono, c if sign > 0 else -c)
     return FormPolynomial._from_canonical(acc)
 
 
@@ -267,7 +218,8 @@ def _omega_template(degrees: Sequence[int]) -> Callable:
                 term = term * d_phis[idx]
             for idx in order[k + 1:]:
                 term = term * db_phis[idx]
-            _add_terms(acc, term.terms, (-1) ** k)
+            for mono, c in term.terms.items():
+                add_into(acc, mono, -c if k % 2 else c)
         return FormPolynomial._from_canonical(acc)
 
     return build
@@ -348,7 +300,7 @@ def d_omega_identity(m: int, degrees: Sequence[int] | None = None) -> bool:
             sgn, canon = _sort_sign(
                 tuple(FormSymbol(rest[s.arg], s.dtype, s.base_degree) for s in mono))
             if sgn is not None:
-                _add_term(acc, canon, c if sgn > 0 else -c)
+                add_into(acc, canon, c if sgn > 0 else -c)
         return head * FormPolynomial._from_canonical(acc)
 
     lap_part = Fraction(1, math.factorial(m)) * alt(lap_template, degrees)

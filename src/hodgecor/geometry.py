@@ -9,6 +9,7 @@ Gaussian-regulated lattice sum) that are cross-checked in the tests.
 Conventions.  On CP^1 with the delta measure at the base point a:
 
     G_a(x, y) = log|x-y| - log|x-a| - log|y-a|      (a finite)
+    G_a(x, oo) = -log|x-a|                           (its limit y -> oo)
     G_oo(x, y) = log|x-y|
 
 both normalized by a unit tangent vector at the base point.  On the torus
@@ -86,7 +87,8 @@ class RationalCurve:
               need_dx: bool = False, need_dy: bool = False):
         """(G_a(x, y) + constant, dG/dx or None, dG/dy or None) for the delta
         measure at a; the antiholomorphic derivatives are the conjugates,
-        since G is real."""
+        since G is real.  At a finite base, G_a(x, oo) = -log|x - a| (and
+        dG/dx = -1/(2(x - a))) is the limit y -> oo."""
         a = spec.base
         d = x - y
         g = np.log(np.abs(d))
@@ -94,7 +96,14 @@ class RationalCurve:
         dy = -0.5 / d if need_dy else None
         if not is_infinity(a):
             a = complex(a)
-            g = g - np.log(np.abs(x - a)) - np.log(np.abs(y - a))
+            lx, ly = np.log(np.abs(x - a)), np.log(np.abs(y - a))
+            x_inf, y_inf = np.isinf(x), np.isinf(y)
+            if np.any(x_inf | y_inf):
+                # log|x - y| and log|y - a| cancel as y -> oo
+                with np.errstate(invalid="ignore"):
+                    g = np.where(y_inf, -lx, np.where(x_inf, -ly, g - lx - ly))
+            else:
+                g = g - lx - ly
             if need_dx:
                 dx = dx - 0.5 / (x - a)
             if need_dy:

@@ -38,7 +38,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact_algebra import (
-    CyclicElement, CyclicWord, Letter, antihol_form, hol_form, sympl_p, sympl_q,
+    CyclicElement, CyclicWord, Letter, LinearCombination, add_into,
+    antihol_form, hol_form, sympl_p, sympl_q,
 )
 
 __all__ = [
@@ -347,62 +348,33 @@ class OrientedForest:
         return sum(len(t.edges()) for t in self.trees)
 
     def is_null(self) -> bool:
-        if any(t.null for t in self.trees):
-            return True
-        # repeated odd component: T ^ T = 0
-        for t1, t2 in zip(self.trees, self.trees[1:]):
-            if t1 == t2 and len(t1.edges()) % 2:
-                return True
-        return False
+        return _null_forest(self.trees)
 
     def __repr__(self):
         s = "+" if self.sign > 0 else "-"
         return s + " u ".join(map(repr, self.trees))
 
 
-class ForestVector:
+def _null_forest(trees: tuple) -> bool:
+    """A forest, components sorted, is zero if one of its trees is null or a
+    component with an odd number of edges repeats (T ^ T = 0)."""
+    return any(t.null for t in trees) or any(
+        t1 == t2 and len(t1.edges()) % 2 for t1, t2 in zip(trees, trees[1:]))
+
+
+class ForestVector(LinearCombination):
     """Rational combination of oriented forests; orientation signs absorbed,
     null forests dropped."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        for k, v in (terms or {}).items():
-            v = Fraction(v)
-            if not v or any(t.null for t in k):
-                continue
-            if any(t1 == t2 and len(t1.edges()) % 2
-                   for t1, t2 in zip(k, k[1:])):
-                continue
-            self.terms[k] = v
+        self.terms = self._summed(
+            (k, c) for k, c in (terms or {}).items() if not _null_forest(k))
 
     @staticmethod
     def from_forest(f: OrientedForest, coeff=1) -> "ForestVector":
-        if f.is_null():
-            return ForestVector()
         return ForestVector({f.trees: Fraction(coeff) * f.sign})
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + v
-        return ForestVector({k: v for k, v in t.items() if v})
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, s):
-        s = Fraction(s)
-        return ForestVector({k: s * v for k, v in self.terms.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return isinstance(other, ForestVector) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def degrees(self) -> set:
         return {sum(t.degree() for t in k) for k in self.terms}
@@ -536,16 +508,6 @@ def _branches_at_leaf(T: PlaneTree, pos: int) -> list:
     return last + rest
 
 
-def _forest_add(acc: dict, f: OrientedForest, c) -> None:
-    """acc += c * f in place; null forests are dropped."""
-    if f.is_null():
-        return
-    key = f.trees
-    val = c * f.sign
-    old = acc.get(key)
-    acc[key] = val if old is None else old + val
-
-
 def _join_pieces(pieces, edge_maps, new_ids, groups) -> list:
     """Wedge-expression order of the cut pieces' edges as (piece, edge) pairs:
     the new edges first, E_1 ^ E_2 ^ ... ^ X_1 ^ X_2 ^ ... ('newfirst').
@@ -593,7 +555,8 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
                 comp.append(t)
                 expr.extend((idx, e) for e in t.edges())
                 canon.extend((idx, e) for e in t.edges())
-        _forest_add(out, OrientedForest(comp), coeff * _perm_parity(expr, canon))
+        f = OrientedForest(comp)
+        add_into(out, f.trees, coeff * _perm_parity(expr, canon) * f.sign)
 
     for epos, edge in enumerate(L):
         g_par = -1 if (edges_before + epos) % 2 else 1
@@ -660,54 +623,28 @@ def differential(v: ForestVector, basis: CasimirBasis,
         for a in range(len(trees)):
             _differential_component(trees, a, basis, sl, local)
         for k, val in local.items():
-            total[k] = total.get(k, Fraction(0)) + coeff * val
-    return ForestVector({k: c for k, c in total.items() if c})
+            add_into(total, k, coeff * val)
+    return ForestVector(total)
 
 
 # ----------------------------------------------------------------------
 # the cobracket on cyclic words
 # ----------------------------------------------------------------------
 
-class Wedge2:
+class Wedge2(LinearCombination):
     """Element of Lambda^2 of the span of cyclic words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        t = {}
-        for (x, y), c in (terms or {}).items():
-            c = Fraction(c)
-            if not c or x == y:
-                continue
-            if y < x:
-                x, y, c = y, x, -c
-            t[(x, y)] = t.get((x, y), Fraction(0)) + c
-        self.terms = {k: v for k, v in t.items() if v}
+        """Keys (x, y) are stored with x < y: y ^ x = -(x ^ y), x ^ x = 0."""
+        self.terms = self._summed(
+            ((y, x), -Fraction(c)) if y < x else ((x, y), c)
+            for (x, y), c in (terms or {}).items() if x != y)
 
     @staticmethod
     def pair(x: CyclicWord, y: CyclicWord, coeff=1) -> "Wedge2":
         return Wedge2({(x, y): Fraction(coeff)})
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + v
-        return Wedge2({k: v for k, v in t.items() if v})
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, s):
-        s = Fraction(s)
-        return Wedge2({k: s * v for k, v in self.terms.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return isinstance(other, Wedge2) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -716,18 +653,9 @@ class Wedge2:
                           for (x, y), c in sorted(self.terms.items(), key=str))
 
 
-def _wedge_add(t: dict, x: CyclicWord, y: CyclicWord, c) -> None:
-    """t += c * (x ^ y) in place, keeping the x < y keys of `Wedge2`."""
-    if x == y:
-        return
-    if y < x:
-        x, y, c = y, x, -c
-    old = t.get((x, y))
-    t[(x, y)] = c if old is None else old + c
-
-
 def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters, c, acc: dict):
-    """acc += c * delta(w), in place."""
+    """acc += c * delta(w), in place, keyed by the ordered pairs (x, y) of
+    x ^ y as cut; `Wedge2` puts the keys in order."""
     rep = w.rep
     n1 = len(rep)
     # Casimir part: cut two different arcs (arc g sits after position g)
@@ -736,8 +664,8 @@ def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters, c, acc: dict)
             piece1 = [rep[p % n1] for p in range(g1 + 1, g2 + 1)]
             piece2 = [rep[p % n1] for p in range(g2 + 1, g1 + 1 + n1)]
             for alpha, dsign, alpha_vee in basis.pairs:
-                _wedge_add(acc, CyclicWord(piece1 + [alpha]),
-                           CyclicWord(piece2 + [alpha_vee]), dsign * c)
+                add_into(acc, (CyclicWord(piece1 + [alpha]),
+                               CyclicWord(piece2 + [alpha_vee])), dsign * c)
     # S part: cut at an S letter and a non-adjacent arc; the letter is copied
     # into both pieces and the piece ending at the S-cut goes first
     for t0 in range(n1):
@@ -750,7 +678,7 @@ def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters, c, acc: dict)
             k2 = (g - t0) % n1
             first = [rep[p % n1] for p in range(g + 1, g + 1 + k1)] + [rep[t0]]
             second = [rep[p % n1] for p in range(t0 + 1, t0 + 1 + k2)] + [rep[t0]]
-            _wedge_add(acc, CyclicWord(first), CyclicWord(second), c)
+            add_into(acc, (CyclicWord(first), CyclicWord(second)), c)
 
 
 def cobracket(w: CyclicElement, basis: CasimirBasis,
@@ -779,16 +707,15 @@ def cobracket_squared(w: CyclicElement, basis: CasimirBasis,
             b, c, coeff = c, b, -coeff
             if b < a:
                 a, b, coeff = b, a, -coeff
-        old = out.get((a, b, c))
-        out[(a, b, c)] = coeff if old is None else old + coeff
+        add_into(out, (a, b, c), coeff)
 
     deltas = {}   # delta of each word, computed once per call
     for (a, b), c in cobracket(w, basis, s_letters).terms.items():
         for elem, other, c0 in ((a, b, c), (b, a, -c)):
             da = deltas.get(elem)
             if da is None:
-                da = deltas[elem] = cobracket(CyclicElement({elem: Fraction(1)}),
-                                              basis, s_letters)
+                da = deltas[elem] = cobracket(
+                    CyclicElement._from_canonical({elem: Fraction(1)}), basis, s_letters)
             for (u, v), cc in da.terms.items():
                 add3(u, v, other, c0 * cc)
     return {k: v for k, v in out.items() if v}
@@ -804,7 +731,7 @@ def tree_sum_map(w: CyclicElement) -> ForestVector:
     acc = {}
     for cw, c in w.terms.items():
         for f in enumerate_trivalent_trees(cw):
-            _forest_add(acc, f, c)
+            add_into(acc, f.trees, c * f.sign)
     return ForestVector(acc)
 
 
@@ -816,7 +743,7 @@ def tree_sum_ext(x: Wedge2) -> ForestVector:
             for fb in enumerate_trivalent_trees(bw):
                 forest = OrientedForest(list(fa.trees) + list(fb.trees),
                                         fa.sign * fb.sign)
-                _forest_add(acc, forest, c)
+                add_into(acc, forest.trees, c * forest.sign)
     return ForestVector(acc)
 
 
@@ -909,5 +836,5 @@ def abstract_projection(v: ForestVector) -> dict:
         flat_new = [(ci, e) for ci in perm for e in trees[ci].edges()]
         if flat_old:
             sign *= _perm_parity(flat_old, flat_new)
-        out[key] = out.get(key, Fraction(0)) + coeff * sign
+        add_into(out, key, coeff * sign)
     return {k: c for k, c in out.items() if c}

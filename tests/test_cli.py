@@ -53,6 +53,49 @@ class TestCorrelator:
         assert code == 3
         assert "infinity" in capsys.readouterr().err
 
+    def test_torus_point_on_base_up_to_a_period_exit_3(self, capsys):
+        code = main([
+            "correlator", "--curve", "elliptic:tau=1i", "--mu", "delta:0.5",
+            "--word", "C(s:a s:b s:c)", "--point", "a=1.5",
+            "--point", "b=0.5+0.3i", "--point", "c=0.7+0.8i",
+            "--samples", "4096",
+        ])
+        assert code == 3
+        assert "base point" in capsys.readouterr().err
+
+    def test_torus_points_equal_up_to_a_period_exit_3(self, capsys):
+        code = main([
+            "correlator", "--curve", "elliptic:tau=1i", "--mu", "volume",
+            "--word", "C(s:a s:b s:c)", "--point", "a=0.1",
+            "--point", "b=1.1", "--point", "c=0.7+0.8i",
+            "--samples", "4096",
+        ])
+        assert code == 3
+        assert "coincide" in capsys.readouterr().err
+
+    def test_p1_finite_base_with_point_at_infinity(self, tmp_path):
+        out = tmp_path / "res.json"
+        code = main([
+            "correlator", "--curve", "p1", "--mu", "delta:2",
+            "--word", "C(s:inf s:0 s:z)", "--point", "z=0.3+0.1i",
+            "--samples", "4096", "--out", str(out),
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert np.isfinite(payload["value"]["re"]) and np.isfinite(payload["stderr"])
+        # at real points the correlator is zero (the Bloch-Wigner function
+        # vanishes on the real line): a finite estimate within its error
+        # bar, so the variance rule gives exit 4 where it printed NaN
+        code = main([
+            "correlator", "--curve", "p1", "--mu", "delta:2",
+            "--word", "C(s:inf s:0 s:1)", "--samples", "4096", "--out", str(out),
+        ])
+        payload = json.loads(out.read_text())
+        val = complex(payload["value"]["re"], payload["value"]["im"])
+        assert np.isfinite(payload["stderr"])
+        assert abs(val) <= 4 * payload["stderr"]
+        assert code == 4
+
 
 class TestIdentities:
     def test_forms_suite(self, capsys):

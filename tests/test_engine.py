@@ -36,6 +36,14 @@ class TestBlochWigner:
         t = bw_target(2.0, 0.0, 1.0, Z)
         assert abs(res.value - t) < max(3 * res.stderr, 0.015 * abs(t))
 
+    def test_finite_base_decoration_at_infinity(self):
+        # G_a(x, oo) = -log|x - a| on the edge to the point at infinity
+        a = 0.5 + 0.7j
+        res = multiple_green(P1, GreenSpec.delta(a), [0.0, INFINITY, Z],
+                             samples=1 << 17, seed=1)
+        t = bw_target(a, 0.0, INFINITY, Z)
+        assert abs(res.value - t) < max(3 * res.stderr, 0.015 * abs(t))
+
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
             multiple_green(P1, DINF, [0.0, 0.0, 1.0])

@@ -1,12 +1,19 @@
 """Golden outputs of the exact side: sha256 of the canonical text of omega_4,
-eta_4, and the cobracket, tree sum and its differential on three fixed words.
-Any change to a sign, a coefficient or a canonical form changes a digest."""
+eta_4, the cobracket, tree sum and its differential on three fixed words,
+the special derivation, bracket and cyclic derivatives of two fixed cyclic
+elements, and the dilogarithm coproduct.  Any change to a sign, a
+coefficient or a canonical form changes a digest."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
-from hodgecor.exact_algebra import CyclicElement, point
+from hodgecor.derivations import AlphabetSpec, kappa, lie_bracket
+from hodgecor.exact_algebra import (
+    AlgebraElement, CyclicElement, derivative_identity_check, dilog_coproduct,
+    partial_derivative, point,
+)
 from hodgecor.form_calculus import omega, pretty, xi_eta
 from hodgecor.tree_calculus import CasimirBasis, cobracket, differential, tree_sum_map
 
@@ -46,3 +53,34 @@ def test_trees_golden(word, expected):
     got = (digest(repr(cobracket(w, BASIS))), digest(repr(forests)),
            digest(repr(differential(forests, BASIS))))
     assert got == expected
+
+
+SPEC = AlphabetSpec(genus=1, s_star=("a", "b"))
+XA, XB = point("a"), point("b")
+F = CyclicElement.from_word([XA, P1, XB, Q1], 2) \
+    + CyclicElement.from_word([XA, XA, XB], Fraction(-1, 3))
+G = CyclicElement.from_word([XB, Q1, XA]) \
+    + CyclicElement.from_word([P1, XA, Q1, XB, XB], Fraction(3, 2))
+
+
+def test_derivations_golden():
+    k = kappa(F, SPEC)
+    assert digest(repr(k(SPEC.x0()))) == \
+        "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"
+    assert digest("; ".join(repr(k(AlgebraElement.gen(x))) for x in SPEC.letters())) == \
+        "f5fb21ced92ce41f05cf8ec375fbbfbc2a4ea2a07e94cda3eecf9b59ac74a416"
+    assert digest(repr(lie_bracket(F, G, SPEC))) == \
+        "8e6b08be3399a6c05c9b15a00d667768ca73b28aad61693103a863c08d4a8213"
+    assert digest(repr(derivative_identity_check(F))) == \
+        "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"
+    assert digest("; ".join(repr(partial_derivative(F + G, x)) for x in SPEC.letters())) == \
+        "4858564695923e367262c84791dcde1d1a5bd0ce391ff78625c6df5b13cf91a4"
+
+
+def test_dilog_coproduct_golden():
+    terms = [(Fraction(1, 3), 1), (Fraction(-1, 2), 1)]
+    assert digest(repr(dilog_coproduct(
+        terms, [(Fraction(3, 2), Fraction(3, 2), Fraction(-1, 2))]))) == \
+        "aa641a87367156e40e9c0e51bd71406436a0e2361ad3525e3641931f1d3db784"
+    assert digest(repr(dilog_coproduct(terms))) == \
+        "6c397210e895059e92f0108777cf98c876fab81e4155c2ed5ffa6ddaf4d9901c"
