@@ -128,6 +128,10 @@ class LinearCombination:
         new.terms = terms
         return new
 
+    @classmethod
+    def zero(cls):
+        return cls._from_canonical({})
+
     def __add__(self, other):
         t = dict(self.terms)
         for k, c in other.terms.items():
@@ -165,10 +169,6 @@ class AlgebraElement(LinearCombination):
         self.terms = self._summed((tuple(w), c) for w, c in (terms or {}).items())
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero() -> "AlgebraElement":
-        return AlgebraElement._from_canonical({})
-
     @staticmethod
     def one() -> "AlgebraElement":
         return AlgebraElement._from_canonical({(): Fraction(1)})
@@ -284,10 +284,6 @@ class CyclicElement(LinearCombination):
     # keys are canonical already (CyclicWord stores its minimal rotation);
     # an entry of its own, so each class's allocations can be counted apart
     __init__ = LinearCombination.__init__
-
-    @staticmethod
-    def zero() -> "CyclicElement":
-        return CyclicElement._from_canonical({})
 
     @staticmethod
     def from_word(letters: Iterable[Letter], coeff=1) -> "CyclicElement":

@@ -82,10 +82,6 @@ class FormPolynomial(LinearCombination):
     __init__ = LinearCombination.__init__
 
     @staticmethod
-    def zero() -> "FormPolynomial":
-        return FormPolynomial._from_canonical({})
-
-    @staticmethod
     def from_symbol(s: FormSymbol) -> "FormPolynomial":
         return FormPolynomial._from_canonical({(s,): Fraction(1)})
 
