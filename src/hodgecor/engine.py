@@ -4,7 +4,12 @@ For each decorated plane trivalent tree the integrand is assembled from the
 alternation form over the Green functions of the non-special edges, wedged
 with the 1-forms of the special (form-decorated) edges, carrying the sign of
 the canonical orientation.  The sum over trees is integrated over one copy
-of the curve per internal vertex by importance-sampled Monte Carlo.
+of the curve per internal vertex by importance-sampled Monte Carlo.  Only
+the top-degree part is integrated (for k internal vertices and no special
+edges, the top part of omega_2k), so each internal vertex takes exactly one
+dz and one dz-bar factor, each from a different incident edge; the one Green
+edge that takes neither is the undifferentiated G_j.  `compile_tree` builds
+the terms this way, from the tree side.
 
 Normalization.  `raw` returns the plain tree sum of honest integrals (top
 form against the standard orientation of the product).  `2pii` multiplies by
@@ -26,11 +31,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .exact_algebra import CyclicElement, antihol_form, hol_form, point
-from .form_calculus import omega_terms, omega_star_terms
 from .geometry import (EllipticCurve, GreenSpec, RationalCurve, is_infinity,
                        INFINITY, levin_polylog)
 from .tree_calculus import PlaneTree, _perm_parity, enumerate_trivalent_trees
@@ -106,6 +111,7 @@ class _CompiledTree:
     green_ids: list
     specials: list
     terms: list
+    need: dict
     sign: int
     anchors_of_var: list
     pairs: list
@@ -138,6 +144,68 @@ def _edge_endpoints(tree: PlaneTree):
     return out
 
 
+def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
+    """Terms (coeff, G_j edge, ((edge, vertex, +-1), ...)) of the top-degree
+    part of omega_m over the m+1 Green edges, and the (need_dx, need_dy)
+    flags of each Green edge: which ends' derivatives some term uses.
+
+    Vertex v owns slot 2v (its dz) and slot 2v+1 (its dz-bar).  Every slot
+    not pre-filled by a form-decorated edge goes to a distinct incident Green
+    edge, and the one Green edge left over is G_j.  With A and B the Green
+    indices of the dz and dz-bar edges, ascending, the coefficient of
+    phi_j d phi_A db phi_B in omega_m is
+    (-1)^|A| |A|! (m-|A|)! sgn([j]+A+B) / (m+1)!, times C(m, |A|) for the
+    star weights; a term carries it times the sign that sorts the slots of
+    its wedge (A, then B, then the form edges) and the tree's `sign`.
+    Each (j, A) gives at most one term: the A edges form a forest, and two
+    ways of handing each vertex exactly one of them would differ along a
+    cycle (likewise for B).  Terms are sorted by j, |A| and A, the expansion
+    order of `form_calculus.omega_terms`, which fixes the integrand's
+    summation order.
+    """
+    if not green_ids:               # a lone form-decorated edge
+        return [], {}
+    m = len(green_ids) - 1
+    fact = math.factorial
+    scale = [float(Fraction((-1) ** a * fact(a) * fact(m - a), fact(m + 1))
+                   * (math.comb(m, a) if star else 1)) for a in range(m + 1)]
+    incident = [[] for _ in range(k)]
+    for g, e in enumerate(green_ids):
+        for p, d in enumerate(greens[e]):
+            if d[0] == "v":
+                incident[d[1]].append((g, p))
+    free = [s for s in range(2 * k) if s not in fixed_slots]
+    owner = [None] * (m + 1)        # Green index -> (slot, end position)
+    need = [[False, False] for _ in range(m + 1)]
+    keyed = []
+
+    def fill(i):
+        if i < len(free):
+            for g, p in incident[free[i] // 2]:
+                if owner[g] is None:
+                    owner[g] = (free[i], p)
+                    fill(i + 1)
+                    owner[g] = None
+            return
+        j = owner.index(None)
+        A = [g for g, o in enumerate(owner) if o is not None and o[0] % 2 == 0]
+        AB = A + [g for g, o in enumerate(owner) if o is not None and o[0] % 2]
+        slots = [owner[g][0] for g in AB] + fixed_slots
+        coeff = scale[len(A)] * _perm_parity([j] + AB, range(m + 1))
+        wsign = _perm_parity(slots, range(2 * k))
+        pick = tuple((green_ids[g], owner[g][0] // 2,
+                      -1 if owner[g][0] % 2 else +1) for g in AB)
+        for g in AB:
+            need[g][owner[g][1]] = True
+        keyed.append(((j, len(A), A),
+                      (coeff * wsign * sign, green_ids[j], pick)))
+
+    fill(0)
+    keyed.sort(key=lambda kt: kt[0])
+    return ([t for _, t in keyed],
+            {e: tuple(need[g]) for g, e in enumerate(green_ids)})
+
+
 def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     """Build the flattened integrand template, or None if the tree's
     integrand vanishes identically (zero-tree pruning)."""
@@ -148,8 +216,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
         nodes = []
     else:
         nodes = [("root",)] + sorted(tree.intervals)
-    var_of = {("node", b if b != ("root",) else ("root",)): i
-              for i, b in enumerate(nodes)}
+    var_of = {("node", b): i for i, b in enumerate(nodes)}
     k = len(nodes)
 
     def site_desc(site):
@@ -198,36 +265,18 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     special_ids = [e for e in dfs if e not in greens]
     order = green_ids + special_ids
     sign = _perm_parity(order, dfs)
-    r = len(green_ids) - 1
 
     # kappa = internal vertices with no incident special edge
     special_hosts = {v for (_, v, _) in specials}
     kappa_vertices = k - len(special_hosts)
 
-    src = omega_star_terms(r) if req.normalization == "star" else omega_terms(r)
     fixed_slots = []
     spec_by_edge = {e: (v, h) for (e, v, h) in specials}
     for e in special_ids:
         v, h = spec_by_edge[e]
         fixed_slots.append(2 * v + (0 if h > 0 else 1))
-
-    terms = []
-    for coeff, j, A, B in src:
-        choices = []
-        for a in A:
-            ends = greens[green_ids[a]]
-            vs = [d[1] for d in ends if d[0] == "v"]
-            choices.append([(green_ids[a], v, +1) for v in vs])
-        for b in B:
-            ends = greens[green_ids[b]]
-            vs = [d[1] for d in ends if d[0] == "v"]
-            choices.append([(green_ids[b], v, -1) for v in vs])
-        for pick in itertools.product(*choices):
-            slots = [2 * v + (0 if h > 0 else 1) for (_, v, h) in pick] + fixed_slots
-            if len(set(slots)) != len(slots) or len(slots) != 2 * k:
-                continue
-            wsign = _perm_parity(slots, sorted(slots))
-            terms.append((float(coeff) * wsign * sign, green_ids[j], tuple(pick)))
+    terms, need = _slot_terms(k, greens, green_ids, fixed_slots, sign,
+                              req.normalization == "star")
 
     # sampler hints
     anchors_of_var = [[] for _ in range(k)]
@@ -244,8 +293,8 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
                 anchors_of_var[v].append(complex(base))
         if len(vs) == 2:
             pairs.append((vs[0], vs[1]))
-    return _CompiledTree(tree, k, greens, green_ids, specials, terms, sign,
-                         anchors_of_var, pairs, kappa_vertices)
+    return _CompiledTree(tree, k, greens, green_ids, specials, terms, need,
+                         sign, anchors_of_var, pairs, kappa_vertices)
 
 
 # ----------------------------------------------------------------------
@@ -406,15 +455,10 @@ def integrand(comp: _CompiledTree, req: CorrelatorRequest, pts: np.ndarray):
     """Top-form coefficient times the product measure factor (-2i)^k,
     evaluated at an (N, k) array of internal-vertex positions."""
     n = pts.shape[0]
-    need = {}
-    for (_, _, pick) in comp.terms:
-        for (e, v, h) in pick:
-            need.setdefault(e, set()).add(v)
     gval, gder = {}, {}
     for e, ends in comp.greens.items():
         x, y = _coord(ends[0], pts), _coord(ends[1], pts)
-        vx = ends[0][0] == "v" and ends[0][1] in need.get(e, ())
-        vy = ends[1][0] == "v" and ends[1][1] in need.get(e, ())
+        vx, vy = comp.need[e]
         g, dx, dy = req.curve.green(req.green, x, y, req.green_constant, vx, vy)
         gval[e] = g
         dd = {}

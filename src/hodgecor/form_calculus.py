@@ -22,7 +22,7 @@ from .exact_algebra import LinearCombination, add_into
 __all__ = [
     "FormSymbol", "FormPolynomial", "phi", "d", "db", "dC", "total_d",
     "alt", "omega", "omega_terms", "d_omega_identity", "xi_eta",
-    "omega_star", "omega_star_terms", "pretty",
+    "omega_star", "pretty",
 ]
 
 _DTYPES = ("phi", "d", "db", "lap")
@@ -240,8 +240,10 @@ def omega_terms(m: int):
     omega_m = sum coeff * phi_j * prod_{a in A} d phi_a * prod_{b in B} db phi_b,
     A and B ascending, wedge factors ordered A then B.
 
-    This is the compiled template the correlator engine evaluates; deriving it
-    from the symbolic `omega` keeps the two routes glued together (tested).
+    The expansion agrees with the symbolic `omega` (tested).  The correlator
+    engine does not filter this list: it generates each tree's terms from the
+    tree side, sorted into this order (j, then |A|, then A), and a test
+    compares the two.
     """
     out = []
     fact = math.factorial
@@ -347,14 +349,6 @@ def omega_star(alpha: int, beta: int, degrees: Sequence[int] | None = None) -> F
     m = alpha + beta
     om = omega(m, degrees)
     return Fraction(math.comb(m, alpha)) * om.bidegree_component(alpha, beta)
-
-
-def omega_star_terms(m: int):
-    """Star-weighted engine template: omega_m monomials scaled by C(m, #d)."""
-    out = []
-    for coeff, j, A, B in omega_terms(m):
-        out.append((coeff * math.comb(m, len(A)), j, A, B))
-    return out
 
 
 def pretty(poly: FormPolynomial) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -5,14 +6,16 @@ import numpy as np
 import pytest
 
 from hodgecor.engine import (
-    CorrelatorRequest, correlate, cyclic_polylog_series,
+    CorrelatorRequest, compile_tree, correlate, cyclic_polylog_series,
     elliptic_correlator, levin_reference, multiple_green, symmetric_form_word,
 )
-from hodgecor.exact_algebra import CyclicElement, point
+from hodgecor.exact_algebra import CyclicElement, antihol_form, hol_form, point
+from hodgecor.form_calculus import omega_terms
 from hodgecor.geometry import (
     INFINITY, EllipticCurve, GreenSpec, RationalCurve, cross_ratio,
     ek_correlator_value, green, single_valued_polylog,
 )
+from hodgecor.tree_calculus import _perm_parity, enumerate_trivalent_trees
 
 P1 = RationalCurve()
 DINF = GreenSpec.delta(INFINITY)
@@ -245,3 +248,85 @@ class TestPolylogTable:
     def test_variance_flag_reported(self):
         res = multiple_green(P1, DINF, [0.0, 1.0, Z], samples=1 << 14, seed=34)
         assert res.metadata["variance_stabilized"] in (True, False)
+
+
+def _omega_filter_terms(comp, req):
+    """Reference enumeration: every omega_m entry times every choice of
+    internal ends for its d and db factors, kept when the slots 2v (dz) and
+    2v+1 (dz-bar) it fills, together with those of the form-decorated edges,
+    are all distinct."""
+    m = len(comp.green_ids) - 1
+    src = omega_terms(m)
+    if req.normalization == "star":
+        src = [(c * math.comb(m, len(A)), j, A, B) for c, j, A, B in src]
+    host = {e: (v, h) for (e, v, h) in comp.specials}
+    fixed = [2 * host[e][0] + (0 if host[e][1] > 0 else 1)
+             for e in comp.tree.edges() if e not in comp.greens]
+    terms = []
+    for coeff, j, A, B in src:
+        choices = []
+        for idx, h in [(a, +1) for a in A] + [(b, -1) for b in B]:
+            e = comp.green_ids[idx]
+            choices.append([(e, d[1], h) for d in comp.greens[e] if d[0] == "v"])
+        for pick in itertools.product(*choices):
+            slots = [2 * v + (0 if h > 0 else 1) for (_, v, h) in pick] + fixed
+            if len(set(slots)) != len(slots) or len(slots) != 2 * comp.k:
+                continue
+            wsign = _perm_parity(slots, sorted(slots))
+            terms.append((float(coeff) * wsign * comp.sign,
+                          comp.green_ids[j], tuple(pick)))
+    return terms
+
+
+def _p1_word(n):
+    labels = {f"p{i}": 0.3 * i + 0.1j * i * i for i in range(n)}
+    return CyclicElement.from_word([point(lab) for lab in labels]), labels
+
+
+def _slot_cases():
+    for n in range(2, 7):                         # k = 0..4 internal vertices
+        word, labels = _p1_word(n)
+        yield f"p1-k{n - 2}-inf", CorrelatorRequest(P1, DINF, word, labels), None
+        # the base moves no term; at k = 4 a few trees keep the test short
+        yield f"p1-k{n - 2}-finite", CorrelatorRequest(
+            P1, GreenSpec.delta(2.5 - 1j), word, labels), \
+            ((0, 6, 13) if n == 6 else None)
+    word = CyclicElement.from_word([point("a"), point("z")]
+                                   + [point("zero")] * 3)
+    yield "p1-caterpillar-star", CorrelatorRequest(
+        P1, DINF, word, {"a": 1.0, "z": Z, "zero": 0.0},
+        normalization="star"), None
+    curve = EllipticCurve(1j)
+    for p, q in ((1, 1), (2, 1)):
+        yield f"ek{p}{q}-pruned", CorrelatorRequest(
+            curve, GreenSpec.volume(),
+            symmetric_form_word(["o", "a"], [(0, 0), (p, q)]),
+            {"o": 0.0, "a": 0.31 + 0.17j}, prune_two_form_vertices=True), None
+    word = CyclicElement.from_word([point("o"), hol_form(1), antihol_form(1),
+                                    point("a")])
+    yield "dz-dzb-unpruned", CorrelatorRequest(
+        curve, GreenSpec.volume(), word, {"o": 0.0, "a": 0.31 + 0.17j}), None
+    word, labels = _p1_word(7)                    # k = 5: the old path is slow
+    yield "p1-k5-some", CorrelatorRequest(P1, DINF, word, labels), (0, 41)
+
+
+@pytest.mark.parametrize("req, pick", [c[1:] for c in _slot_cases()],
+                         ids=[c[0] for c in _slot_cases()])
+def test_slot_terms_match_omega_filter(req, pick):
+    """The tree-side term generator reproduces the omega_m filter: the same
+    terms, in the same order, with the same floats."""
+    compiled = 0
+    for cw in req.word.terms:
+        forests = enumerate_trivalent_trees(cw)
+        for i in (pick or range(len(forests))):
+            (tree,) = forests[i].trees
+            comp = compile_tree(tree, req)
+            if comp is None:
+                continue
+            compiled += 1
+            assert comp.terms == _omega_filter_terms(comp, req)
+            used = {(e, v) for (_, _, pk) in comp.terms for (e, v, _) in pk}
+            for e, ends in comp.greens.items():
+                assert comp.need[e] == tuple(
+                    d[0] == "v" and (e, d[1]) in used for d in ends)
+    assert compiled
