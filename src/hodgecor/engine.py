@@ -144,6 +144,20 @@ def _edge_endpoints(tree: PlaneTree):
     return out
 
 
+def _slot_owners(free, incident, owner, i=0):
+    """Backtrack over the ways of giving the slots free[i:] to distinct Green
+    edges: incident[v] lists the (Green index, end position) pairs at vertex
+    v, and each yield leaves owner[g] = (slot, end position) or None."""
+    if i == len(free):
+        yield owner
+        return
+    for g, p in incident[free[i] // 2]:
+        if owner[g] is None:
+            owner[g] = (free[i], p)
+            yield from _slot_owners(free, incident, owner, i + 1)
+            owner[g] = None
+
+
 def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
     """Terms (coeff, G_j edge, ((edge, vertex, +-1), ...)) of the top-degree
     part of omega_m over the m+1 Green edges, and the (need_dx, need_dy)
@@ -175,18 +189,9 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
             if d[0] == "v":
                 incident[d[1]].append((g, p))
     free = [s for s in range(2 * k) if s not in fixed_slots]
-    owner = [None] * (m + 1)        # Green index -> (slot, end position)
     need = [[False, False] for _ in range(m + 1)]
     keyed = []
-
-    def fill(i):
-        if i < len(free):
-            for g, p in incident[free[i] // 2]:
-                if owner[g] is None:
-                    owner[g] = (free[i], p)
-                    fill(i + 1)
-                    owner[g] = None
-            return
+    for owner in _slot_owners(free, incident, [None] * (m + 1)):
         j = owner.index(None)
         A = [g for g, o in enumerate(owner) if o is not None and o[0] % 2 == 0]
         AB = A + [g for g, o in enumerate(owner) if o is not None and o[0] % 2]
@@ -199,8 +204,6 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
             need[g][owner[g][1]] = True
         keyed.append(((j, len(A), A),
                       (coeff * wsign * sign, green_ids[j], pick)))
-
-    fill(0)
     keyed.sort(key=lambda kt: kt[0])
     return ([t for _, t in keyed],
             {e: tuple(need[g]) for g, e in enumerate(green_ids)})
