@@ -315,6 +315,12 @@ class _Mixture:
     the multi-singularity corners where several Green-function arguments
     degenerate at once.  Densities are exact, so the weights are unbiased
     for any integrable integrand.
+
+    Many components share factors: a chain's edges are the pair components'
+    edges, and its anchored root is a pt component's disk.  Each component
+    is therefore a tuple of indices into one table of distinct factors (a
+    polar disk around an anchor or along an edge, or a global column), and
+    `density` evaluates each factor once per call.
     """
 
     def __init__(self, curve, comp: _CompiledTree, rho: float, glob_w: float = 0.25):
@@ -344,30 +350,44 @@ class _Mixture:
         wts = np.full(len(comps), (1.0 - glob_w) / max(1, len(comps) - 1))
         wts[0] = glob_w if len(comps) > 1 else 1.0
         self.wts = wts
+        # Factor keys are tagged: ("g", v) the global density of column v,
+        # ("c", v, c) the disk around anchor c, ("e", v, w) with v < w the
+        # disk along an edge (the separation is symmetric).  The tags keep a
+        # vertex index from aliasing an anchor (1 == 1+0j, equal hashes).
+        index = {}
+        fac = lambda key: index.setdefault(key, len(index))
+        edge = lambda v, w: fac(("e", min(v, w), max(v, w)))
+        plan = []
+        for kind, v, c in comps[1:]:
+            if kind == "pt":
+                plan.append((v, (fac(("c", v, c)),)))
+            elif kind == "pair":
+                plan.append((v, (edge(v, c),)))
+            else:
+                root, parents = v
+                head = fac(("g", root) if c is None else ("c", root, c))
+                plan.append((None, (head,) + tuple(edge(ch, pa)
+                                                   for ch, pa in parents)))
+        # per non-global component: (v, (factor,)) for a disk at v times the
+        # global law of the other variables, or (None, factors) for a chain
+        self._plan = plan
+        self._factors = list(index)
 
     @staticmethod
     def _spanning(adj, root, k):
-        """BFS parent array over the internal-edge graph, or None if the
-        variables are not connected through it."""
+        """Parent links (child, parent) of a BFS spanning tree of the
+        internal-edge graph, parents first and children ascending, or None
+        if the variables are not connected through it."""
         parents = [None] * k
-        seen = {root}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
+        order, seen = [root], {root}
+        for u in order:                 # grows while walked: a FIFO queue
             for w in sorted(adj[u]):
                 if w not in seen:
                     seen.add(w)
                     parents[w] = u
-                    queue.append(w)
-        if len(seen) != k:
+                    order.append(w)
+        if len(order) != k:
             return None
-        # order children after parents
-        order = []
-        pending = [root]
-        while pending:
-            u = pending.pop(0)
-            order.append(u)
-            pending.extend(w for w in range(k) if parents[w] == u)
         return tuple((v, parents[v]) for v in order[1:])
 
     def _q_polar(self, d):
@@ -393,30 +413,31 @@ class _Mixture:
         r = self.rho * U[:, 1 + 2 * k]
         th = 2 * np.pi * U[:, 2 + 2 * k]
         off = r * np.exp(1j * th)
-        # per-variable polar offsets for chain components, recycled from the
-        # same uniforms that would otherwise drive the global coordinates
-        offv = np.empty((n, k), dtype=complex)
-        for v in range(k):
-            offv[:, v] = (self.rho * U[:, 1 + 2 * v]
-                          * np.exp(2j * np.pi * U[:, 2 + 2 * v]))
-        for i, (kind, v, c) in enumerate(self.comps):
-            m = ci == i
-            if not m.any() or kind == "glob":
+        for i, (kind, v, c) in enumerate(self.comps[1:], 1):
+            rows = np.flatnonzero(ci == i)
+            if not len(rows):
                 continue
             if kind == "pt":
-                A[m, v] = c + off[m]
-                B[m, v] = c - off[m]
+                o = off[rows]
+                A[rows, v] = c + o
+                B[rows, v] = c - o
             elif kind == "pair":
-                A[m, v] = A[m, c] + off[m]
-                B[m, v] = B[m, c] - off[m]
+                o = off[rows]
+                A[rows, v] = A[rows, c] + o
+                B[rows, v] = B[rows, c] - o
             else:  # chain
                 root, parents = v
                 if c is not None:
-                    A[m, root] = c + off[m]
-                    B[m, root] = c - off[m]
+                    o = off[rows]
+                    A[rows, root] = c + o
+                    B[rows, root] = c - o
+                # per-variable polar offsets, recycled from the same uniforms
+                # that would otherwise drive the global coordinates
                 for child, parent in parents:
-                    A[m, child] = A[m, parent] + offv[m, child]
-                    B[m, child] = B[m, parent] - offv[m, child]
+                    o = (self.rho * U[rows, 1 + 2 * child]
+                         * np.exp(2j * np.pi * U[rows, 2 + 2 * child]))
+                    A[rows, child] = A[rows, parent] + o
+                    B[rows, child] = B[rows, parent] - o
         return A, B
 
     def draw(self, rng, n):
@@ -425,20 +446,27 @@ class _Mixture:
     def density(self, pts):
         qg = self.curve.global_density(pts)
         prod_g = qg.prod(axis=1)
+        f = []
+        for key in self._factors:
+            if key[0] == "g":
+                f.append(qg[:, key[1]])
+            else:
+                _, v, x = key
+                f.append(self._q_polar(
+                    pts[:, v] - (pts[:, x] if key[0] == "e" else x)))
         q = self.wts[0] * prod_g
-        for i, (kind, v, c) in enumerate(self.comps):
-            if kind == "glob":
-                continue
-            if kind in ("pt", "pair"):
-                d = pts[:, v] - (c if kind == "pt" else pts[:, c])
-                q = q + self.wts[i] * prod_g / qg[:, v] * self._q_polar(d)
-            else:  # chain
-                root, parents = v
-                dens = (qg[:, root] if c is None
-                        else self._q_polar(pts[:, root] - c))
-                for child, parent in parents:
-                    dens = dens * self._q_polar(pts[:, child] - pts[:, parent])
-                q = q + self.wts[i] * dens
+        lead = {}       # the non-global weights are equal, so one per vertex
+        for w, (v, idx) in zip(self.wts[1:], self._plan):
+            if v is not None:
+                if v not in lead:
+                    lead[v] = w * prod_g / qg[:, v]
+                q += lead[v] * f[idx[0]]
+            else:
+                dens = f[idx[0]] * f[idx[1]]
+                for j in idx[2:]:
+                    dens *= f[j]
+                dens *= w
+                q += dens
         return q
 
 
@@ -563,7 +591,11 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
 
 def _validate_request(req: CorrelatorRequest):
     req.curve.check_measure(req.green)
-    labels = {ell.label for ell in req.word.letters() if ell.kind == "s"}
+    for cw in req.word.terms:
+        if len(cw.rep) == 2 and any(ell.kind != "s" for ell in cw.rep):
+            raise ValueError(f"word {cw!r} has no Green edge: its one edge "
+                             f"is decorated by a form")
+    labels ={ell.label for ell in req.word.letters() if ell.kind == "s"}
     items = [(lab, req.resolve_point(lab)) for lab in labels]
 
     def same(a, b) -> bool:

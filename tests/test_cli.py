@@ -53,6 +53,16 @@ class TestCorrelator:
         assert code == 3
         assert "infinity" in capsys.readouterr().err
 
+    def test_lone_form_edge_exit_3(self, capsys):
+        # a two-letter word with a form letter: one edge, and no Green edge
+        code = main([
+            "correlator", "--curve", "elliptic:tau=1i", "--mu", "volume",
+            "--word", "C(s:a dz1)", "--point", "a=0.1", "--samples", "4096",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "no Green edge" in err and "unpack" not in err
+
     def test_torus_point_on_base_up_to_a_period_exit_3(self, capsys):
         code = main([
             "correlator", "--curve", "elliptic:tau=1i", "--mu", "delta:0.5",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hodgecor.engine import (
-    CorrelatorRequest, compile_tree, correlate, cyclic_polylog_series,
+    CorrelatorRequest, _Mixture, compile_tree, correlate, cyclic_polylog_series,
     elliptic_correlator, levin_reference, multiple_green, symmetric_form_word,
 )
 from hodgecor.exact_algebra import CyclicElement, antihol_form, hol_form, point
@@ -330,3 +330,186 @@ def test_slot_terms_match_omega_filter(req, pick):
                 assert comp.need[e] == tuple(
                     d[0] == "v" and (e, d[1]) in used for d in ends)
     assert compiled
+
+
+def _reference_spanning(adj, root, k):
+    """Reference BFS spanning tree: parent links re-ordered parents first
+    by a second walk over the parent array."""
+    parents = [None] * k
+    seen = {root}
+    queue = [root]
+    while queue:
+        u = queue.pop(0)
+        for w in sorted(adj[u]):
+            if w not in seen:
+                seen.add(w)
+                parents[w] = u
+                queue.append(w)
+    if len(seen) != k:
+        return None
+    order = []
+    pending = [root]
+    while pending:
+        u = pending.pop(0)
+        order.append(u)
+        pending.extend(w for w in range(k) if parents[w] == u)
+    return tuple((v, parents[v]) for v in order[1:])
+
+
+def _reference_build(mix, U):
+    """Reference sampler: boolean row masks per component and per-variable
+    chain offsets over all rows."""
+    n = U.shape[0]
+    k = mix.k
+    cum = np.cumsum(mix.wts)
+    ci = np.searchsorted(cum, U[:, 0] * cum[-1], side="right")
+    ci = np.minimum(ci, len(mix.comps) - 1)
+    A = np.empty((n, k), dtype=complex)
+    for v in range(k):
+        A[:, v] = mix.curve.global_point(U[:, 1 + 2 * v], U[:, 2 + 2 * v])
+    B = A.copy()
+    r = mix.rho * U[:, 1 + 2 * k]
+    th = 2 * np.pi * U[:, 2 + 2 * k]
+    off = r * np.exp(1j * th)
+    offv = np.empty((n, k), dtype=complex)
+    for v in range(k):
+        offv[:, v] = (mix.rho * U[:, 1 + 2 * v]
+                      * np.exp(2j * np.pi * U[:, 2 + 2 * v]))
+    for i, (kind, v, c) in enumerate(mix.comps):
+        m = ci == i
+        if not m.any() or kind == "glob":
+            continue
+        if kind == "pt":
+            A[m, v] = c + off[m]
+            B[m, v] = c - off[m]
+        elif kind == "pair":
+            A[m, v] = A[m, c] + off[m]
+            B[m, v] = B[m, c] - off[m]
+        else:
+            root, parents = v
+            if c is not None:
+                A[m, root] = c + off[m]
+                B[m, root] = c - off[m]
+            for child, parent in parents:
+                A[m, child] = A[m, parent] + offv[m, child]
+                B[m, child] = B[m, parent] - offv[m, child]
+    return A, B
+
+
+def _reference_density(mix, pts):
+    """Reference mixture density: every component's polar factors evaluated
+    afresh."""
+    qg = mix.curve.global_density(pts)
+    prod_g = qg.prod(axis=1)
+    q = mix.wts[0] * prod_g
+    for i, (kind, v, c) in enumerate(mix.comps):
+        if kind == "glob":
+            continue
+        if kind in ("pt", "pair"):
+            d = pts[:, v] - (c if kind == "pt" else pts[:, c])
+            q = q + mix.wts[i] * prod_g / qg[:, v] * mix._q_polar(d)
+        else:
+            root, parents = v
+            dens = (qg[:, root] if c is None
+                    else mix._q_polar(pts[:, root] - c))
+            for child, parent in parents:
+                dens = dens * mix._q_polar(pts[:, child] - pts[:, parent])
+            q = q + mix.wts[i] * dens
+    return q
+
+
+def _mixtures(req):
+    """(label, compiled tree, mixture) for every unpruned tree of the word."""
+    rho = req.rho or req.curve.default_rho
+    for cw in req.word.terms:
+        for i, forest in enumerate(enumerate_trivalent_trees(cw)):
+            (tree,) = forest.trees
+            comp = compile_tree(tree, req)
+            if comp is not None and comp.k:
+                yield i, comp, _Mixture(req.curve, comp, rho)
+
+
+# anchors at 0 and at 1 sit next to vertex indices 0 and 1 (1 == 1+0j)
+_P1_POINTS = [0.0, 1.0, 0.3 + 0.1j, -0.7 + 0.4j, 0.2 - 0.9j, 1.4 + 0.6j]
+SKEW = EllipticCurve(0.3 + 1.1j)
+
+
+def _p1_points_word(n):
+    labels = {f"p{i}": _P1_POINTS[i] for i in range(n)}
+    return CyclicElement.from_word([point(lab) for lab in labels]), labels
+
+
+def _mixture_cases():
+    for n in range(3, 7):                         # k = 1..4 internal vertices
+        word, labels = _p1_points_word(n)
+        yield f"p1-k{n - 2}-inf", CorrelatorRequest(P1, DINF, word, labels)
+        yield f"p1-k{n - 2}-finite", CorrelatorRequest(
+            P1, GreenSpec.delta(2.5 - 1j), word, labels)
+    for p, q in ((1, 1), (2, 1)):
+        yield f"ek{p}{q}", CorrelatorRequest(
+            EllipticCurve(1j), GreenSpec.volume(),
+            symmetric_form_word(["o", "a"], [(0, 0), (p, q)]),
+            {"o": 0.0, "a": 0.31 + 0.17j}, prune_two_form_vertices=True)
+    yield "torus-oab", CorrelatorRequest(
+        SKEW, GreenSpec.volume(),
+        CyclicElement.from_word([point("o"), point("a"), point("b")]),
+        {"o": 0.0, "a": 0.21 + 0.33j, "b": 0.55 + 0.62j})
+
+
+@pytest.mark.parametrize("req", [c[1] for c in _mixture_cases()],
+                         ids=[c[0] for c in _mixture_cases()])
+def test_mixture_matches_reference(req):
+    """Grouped rows and shared polar factors give the reference sampler's
+    points and densities bit for bit, also when components get no rows."""
+    checked = 0
+    for i, comp, mix in _mixtures(req):
+        for n in (4096, 8):
+            U = np.random.default_rng([i, n, comp.k]).random(
+                (n, mix.uniform_dim()))
+            A, B = mix.build(U)
+            A0, B0 = _reference_build(mix, U)
+            assert np.array_equal(A, A0) and np.array_equal(B, B0)
+            for pts in (A, B):
+                assert np.array_equal(mix.density(pts),
+                                      _reference_density(mix, pts))
+            checked += 1
+    assert checked
+
+
+def test_spanning_matches_reference():
+    """The BFS visit order is already parents first: random trees and
+    disconnected graphs on up to 8 vertices give the reference's links."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        k = int(rng.integers(1, 9))
+        adj = {v: set() for v in range(k)}
+        for w in range(1, k):
+            if rng.random() < 0.95:
+                v = int(rng.integers(0, w))
+                adj[v].add(w)
+                adj[w].add(v)
+        for root in range(k):
+            assert (_Mixture._spanning(adj, root, k)
+                    == _reference_spanning(adj, root, k))
+
+
+def _normalisation_cases():
+    for n in range(3, 6):                         # k = 1..3
+        word, labels = _p1_points_word(n)
+        yield f"p1-k{n - 2}", CorrelatorRequest(P1, DINF, word, labels)
+        labels = {lab: 0.37 * j + 0.29j * j * j for j, lab in enumerate(labels)}
+        yield f"torus-k{n - 2}", CorrelatorRequest(
+            SKEW, GreenSpec.volume(), word, labels)
+
+
+@pytest.mark.parametrize("req", [c[1] for c in _normalisation_cases()],
+                         ids=[c[0] for c in _normalisation_cases()])
+def test_mixture_density_normalises(req):
+    """E[prod global_density(A) / density(A)] = 1 for A drawn from the
+    mixture; the ratio is at most 1/glob_w = 4."""
+    for i, comp, mix in _mixtures(req):
+        A, _ = mix.draw(np.random.default_rng([41, i, comp.k]), 1 << 16)
+        ratio = mix.curve.global_density(A).prod(axis=1) / mix.density(A)
+        assert ratio.max() <= 4 + 1e-12
+        se = ratio.std() / math.sqrt(len(ratio))
+        assert abs(ratio.mean() - 1) < 4 * se
