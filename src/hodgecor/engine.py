@@ -355,8 +355,13 @@ class _Mixture:
         # disk along an edge (the separation is symmetric).  The tags keep a
         # vertex index from aliasing an anchor (1 == 1+0j, equal hashes).
         index = {}
-        fac = lambda key: index.setdefault(key, len(index))
-        edge = lambda v, w: fac(("e", min(v, w), max(v, w)))
+
+        def fac(key):
+            return index.setdefault(key, len(index))
+
+        def edge(v, w):
+            return fac(("e", min(v, w), max(v, w)))
+
         plan = []
         for kind, v, c in comps[1:]:
             if kind == "pt":
