@@ -8,8 +8,14 @@ of the curve per internal vertex by importance-sampled Monte Carlo.  Only
 the top-degree part is integrated (for k internal vertices and no special
 edges, the top part of omega_2k), so each internal vertex takes exactly one
 dz and one dz-bar factor, each from a different incident edge; the one Green
-edge that takes neither is the undifferentiated G_j.  `compile_tree` builds
-the terms this way, from the tree side.
+edge that takes neither is the undifferentiated G_j.  For a fixed j the
+other Green edges form a forest, so there is exactly one way (or none) to
+hand them to the vertices, each vertex receiving one per free slot.  The
+monomials of j then factor by vertex: `compile_tree` emits one term per j,
+c_j G_j times one block per vertex, the 2x2 determinant
+d G_a db G_b - d G_b db G_a of the two edges a vertex receives, or a single
+d G / db G where a form holds the other slot.  A tree with m+1 Green edges
+has at most m+1 terms.
 
 Normalization.  `raw` returns the plain tree sum of honest integrals (top
 form against the standard orientation of the product).  `2pii` multiplies by
@@ -103,7 +109,12 @@ class CorrelatorResult:
 
 @dataclass(slots=True)
 class _CompiledTree:
-    """Flattened integrand template for one decorated tree."""
+    """Flattened integrand template for one decorated tree.
+
+    `terms` lists (c_j, G_j edge, blocks) from `_slot_terms`, one per
+    undifferentiated Green edge; `need` gives each Green edge's
+    (need_dx, need_dy) derivative flags.
+    """
 
     tree: PlaneTree
     k: int
@@ -144,38 +155,66 @@ def _edge_endpoints(tree: PlaneTree):
     return out
 
 
-def _slot_owners(free, incident, owner, i=0):
-    """Backtrack over the ways of giving the slots free[i:] to distinct Green
-    edges: incident[v] lists the (Green index, end position) pairs at vertex
-    v, and each yield leaves owner[g] = (slot, end position) or None."""
-    if i == len(free):
-        yield owner
-        return
-    for g, p in incident[free[i] // 2]:
-        if owner[g] is None:
-            owner[g] = (free[i], p)
-            yield from _slot_owners(free, incident, owner, i + 1)
-            owner[g] = None
+def _orientation(ends, j, cap):
+    """The one way of handing each Green edge g != j to one of its internal
+    ends with vertex v receiving cap[v] edges, as owner[g] = (end position,
+    vertex) and owner[j] = None, or None if there is no such way.  ends[g]
+    lists the (position, vertex) of g's internal ends.  An edge with one
+    internal end goes there; the rest form a forest on the vertices, peeled
+    from its leaves: the edge at a vertex of degree one goes to that vertex
+    if it still lacks an edge, else to its other end."""
+    cap = list(cap)
+    owner = [None] * len(ends)
+    at = [set() for _ in cap]
+    for g, ge in enumerate(ends):
+        if g == j:
+            continue
+        if len(ge) == 1:
+            owner[g] = ge[0]
+            cap[ge[0][1]] -= 1
+        else:
+            for _, v in ge:
+                at[v].add(g)
+    leaves = [v for v, s in enumerate(at) if len(s) == 1]
+    while leaves:
+        v = leaves.pop()
+        if len(at[v]) != 1:
+            continue
+        g = at[v].pop()
+        near, far = ends[g] if ends[g][0][1] == v else ends[g][::-1]
+        at[far[1]].discard(g)
+        owner[g] = near if cap[v] > 0 else far
+        cap[owner[g][1]] -= 1
+        if len(at[far[1]]) == 1:
+            leaves.append(far[1])
+    return None if any(cap) else owner
 
 
 def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
-    """Terms (coeff, G_j edge, ((edge, vertex, +-1), ...)) of the top-degree
-    part of omega_m over the m+1 Green edges, and the (need_dx, need_dy)
-    flags of each Green edge: which ends' derivatives some term uses.
+    """Terms (coeff, G_j edge, blocks) of the top-degree part of omega_m
+    over the m+1 Green edges, one per undifferentiated edge G_j that has a
+    top-degree term, sorted by j, and the (need_dx, need_dy) flags of each
+    Green edge: which ends' derivatives some term uses.
 
-    Vertex v owns slot 2v (its dz) and slot 2v+1 (its dz-bar).  Every slot
-    not pre-filled by a form-decorated edge goes to a distinct incident Green
-    edge, and the one Green edge left over is G_j.  With A and B the Green
-    indices of the dz and dz-bar edges, ascending, the coefficient of
-    phi_j d phi_A db phi_B in omega_m is
+    Vertex v owns slot 2v (its dz) and slot 2v+1 (its dz-bar); the slots
+    not pre-filled by a form-decorated edge are its free slots.  A monomial
+    phi_j d phi_A db phi_B of omega_m is top-degree when every free slot
+    holds a distinct incident Green edge, so the m edges other than j go to
+    one of their ends each, vertex v receiving as many as it has free
+    slots.  Those edges form a forest, so there is at most one such
+    orientation (two would differ along a cycle); `_orientation` finds it.
+    What is left is which of its two received edges a two-slot vertex puts
+    on dz.  Swapping them swaps two slots of the wedge, so it flips the
+    sign, and |A| (k minus the dz forms) does not move.  So the 2^k'
+    monomials of j sum to one product of blocks (v, a, b), one per vertex
+    with a free slot: a the edge on its dz slot, b the edge on its dz-bar
+    slot, None where a form holds the slot.  When both are edges, a comes
+    before b in green_ids and the block is the 2x2 determinant
+    d_v G_a db_v G_b - d_v G_b db_v G_a.  The coefficient is that of the
+    monomial in which each such a takes its dz:
     (-1)^|A| |A|! (m-|A|)! sgn([j]+A+B) / (m+1)!, times C(m, |A|) for the
-    star weights; a term carries it times the sign that sorts the slots of
-    its wedge (A, then B, then the form edges) and the tree's `sign`.
-    Each (j, A) gives at most one term: the A edges form a forest, and two
-    ways of handing each vertex exactly one of them would differ along a
-    cycle (likewise for B).  Terms are sorted by j, |A| and A, the expansion
-    order of `form_calculus.omega_terms`, which fixes the integrand's
-    summation order.
+    star weights, times the sign that sorts the slots of its wedge (A, then
+    B, then the form edges) and the tree's `sign`.
     """
     if not green_ids:               # a lone form-decorated edge
         return [], {}
@@ -183,30 +222,35 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
     fact = math.factorial
     scale = [float(Fraction((-1) ** a * fact(a) * fact(m - a), fact(m + 1))
                    * (math.comb(m, a) if star else 1)) for a in range(m + 1)]
-    incident = [[] for _ in range(k)]
-    for g, e in enumerate(green_ids):
-        for p, d in enumerate(greens[e]):
-            if d[0] == "v":
-                incident[d[1]].append((g, p))
-    free = [s for s in range(2 * k) if s not in fixed_slots]
+    free = [[s for s in (2 * v, 2 * v + 1) if s not in fixed_slots]
+            for v in range(k)]
+    ends = [[(p, d[1]) for p, d in enumerate(greens[e]) if d[0] == "v"]
+            for e in green_ids]
     need = [[False, False] for _ in range(m + 1)]
-    keyed = []
-    for owner in _slot_owners(free, incident, [None] * (m + 1)):
-        j = owner.index(None)
-        A = [g for g, o in enumerate(owner) if o is not None and o[0] % 2 == 0]
-        AB = A + [g for g, o in enumerate(owner) if o is not None and o[0] % 2]
-        slots = [owner[g][0] for g in AB] + fixed_slots
+    terms = []
+    for j in range(m + 1):
+        owner = _orientation(ends, j, [len(f) for f in free])
+        if owner is None:
+            continue
+        got = [[] for _ in range(k)]        # received Green indices, ascending
+        for g, o in enumerate(owner):
+            if o is not None:
+                got[o[1]].append(g)
+                need[g][o[0]] = True
+        slot, blocks = {}, []
+        for v in range(k):
+            if free[v]:
+                on = dict(zip(free[v], got[v]))
+                slot.update((g, s) for s, g in on.items())
+                blocks.append((v,) + tuple(
+                    green_ids[on[s]] if s in on else None
+                    for s in (2 * v, 2 * v + 1)))
+        A = sorted(g for g, s in slot.items() if s % 2 == 0)
+        AB = A + sorted(g for g, s in slot.items() if s % 2)
         coeff = scale[len(A)] * _perm_parity([j] + AB, range(m + 1))
-        wsign = _perm_parity(slots, range(2 * k))
-        pick = tuple((green_ids[g], owner[g][0] // 2,
-                      -1 if owner[g][0] % 2 else +1) for g in AB)
-        for g in AB:
-            need[g][owner[g][1]] = True
-        keyed.append(((j, len(A), A),
-                      (coeff * wsign * sign, green_ids[j], pick)))
-    keyed.sort(key=lambda kt: kt[0])
-    return ([t for _, t in keyed],
-            {e: tuple(need[g]) for g, e in enumerate(green_ids)})
+        wsign = _perm_parity([slot[g] for g in AB] + fixed_slots, range(2 * k))
+        terms.append((coeff * wsign * sign, green_ids[j], tuple(blocks)))
+    return terms, {e: tuple(need[g]) for g, e in enumerate(green_ids)}
 
 
 def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
@@ -347,6 +391,16 @@ class _Mixture:
                 for c in dict.fromkeys(comp.anchors_of_var[root]):
                     comps.append(("chain", (root, parents), c))
         self.comps = comps
+        # keep[v, i]: component i leaves column v at its global point; it
+        # draws the other cells of its rows itself
+        keep = np.ones((comp.k, len(comps)), dtype=bool)
+        for i, (kind, v, c) in enumerate(comps[1:], 1):
+            if kind == "chain":
+                keep[:, i] = False
+                keep[v[0], i] = c is None
+            else:
+                keep[v, i] = False
+        self._keep = keep
         wts = np.full(len(comps), (1.0 - glob_w) / max(1, len(comps) - 1))
         wts[0] = glob_w if len(comps) > 1 else 1.0
         self.wts = wts
@@ -413,7 +467,9 @@ class _Mixture:
         ci = np.minimum(ci, len(self.comps) - 1)
         A = np.empty((n, k), dtype=complex)
         for v in range(k):
-            A[:, v] = self.curve.global_point(U[:, 1 + 2 * v], U[:, 2 + 2 * v])
+            rows = np.flatnonzero(self._keep[v][ci])
+            A[rows, v] = self.curve.global_point(U[rows, 1 + 2 * v],
+                                                 U[rows, 2 + 2 * v])
         B = A.copy()
         r = self.rho * U[:, 1 + 2 * k]
         th = 2 * np.pi * U[:, 2 + 2 * k]
@@ -487,31 +543,46 @@ def _coord(desc, pts):
     return np.full(pts.shape[0], complex(desc[1]))
 
 
+def _block(block, der):
+    """Value of a vertex block (v, a, b) of `_slot_terms` from the Green
+    derivatives der[edge, v]: d_v G_a, or db_v G_b = conj d_v G_b, or for
+    two edges Im(d_v G_a conj d_v G_b), the 2x2 determinant
+    d_v G_a db_v G_b - d_v G_b db_v G_a over 2i (G is real)."""
+    v, a, b = block
+    if b is None:
+        return der[a, v]
+    if a is None:
+        return np.conj(der[b, v])
+    da, db = der[a, v], der[b, v]
+    return da.imag * db.real - da.real * db.imag
+
+
 def integrand(comp: _CompiledTree, req: CorrelatorRequest, pts: np.ndarray):
     """Top-form coefficient times the product measure factor (-2i)^k,
-    evaluated at an (N, k) array of internal-vertex positions."""
-    n = pts.shape[0]
-    gval, gder = {}, {}
+    evaluated at an (N, k) array of internal-vertex positions: each term is
+    c_j G_j times its vertex blocks, each distinct block evaluated once.
+    The two-slot vertices are the kappa ones, so the 2i each determinant
+    block leaves out is applied once, as (2i)^kappa."""
+    gval, der = {}, {}
     for e, ends in comp.greens.items():
         x, y = _coord(ends[0], pts), _coord(ends[1], pts)
         vx, vy = comp.need[e]
-        g, dx, dy = req.curve.green(req.green, x, y, req.green_constant, vx, vy)
-        gval[e] = g
-        dd = {}
+        gval[e], dx, dy = req.curve.green(req.green, x, y,
+                                          req.green_constant, vx, vy)
         if vx:
-            dd[(ends[0][1], +1)] = dx
-            dd[(ends[0][1], -1)] = np.conj(dx)
+            der[e, ends[0][1]] = dx
         if vy:
-            dd[(ends[1][1], +1)] = dy
-            dd[(ends[1][1], -1)] = np.conj(dy)
-        gder[e] = dd
-    out = np.zeros(n, dtype=complex)
-    for (c, j, pick) in comp.terms:
+            der[e, ends[1][1]] = dy
+    vals = {}
+    out = np.zeros(pts.shape[0])
+    for (c, j, blocks) in comp.terms:
         t = c * gval[j]
-        for (e, v, h) in pick:
-            t = t * gder[e][(v, h)]
-        out += t
-    return out * (-2j) ** comp.k
+        for b in blocks:
+            if b not in vals:
+                vals[b] = _block(b, der)
+            t = t * vals[b]
+        out = out + t
+    return out * ((-2j) ** comp.k * (2j) ** comp.kappa_vertices)
 
 
 def _normalization(comp: _CompiledTree, req: CorrelatorRequest) -> complex:
