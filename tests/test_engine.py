@@ -362,6 +362,7 @@ def test_slot_terms_match_omega_filter(req, pick):
 
 
 def _compiled_trees(req):
+    """Compiled templates of the word's unpruned trees."""
     for cw in req.word.terms:
         for forest in enumerate_trivalent_trees(cw):
             comp = compile_tree(forest.trees[0], req)
@@ -391,11 +392,11 @@ def _extended_reference(comp, req, pts):
     for e, ends in comp.greens.items():
         x, y = (p[:, d[1]] if d[0] == "v" else np.clongdouble(d[1])
                 for d in ends)
-        d = x - y
-        gval[e] = np.log(np.abs(d))
+        diff = x - y
+        gval[e] = np.log(np.abs(diff))
         for half, (kind, v) in zip((0.5, -0.5), ends):
             if kind == "v":
-                der[e, v] = half / d
+                der[e, v] = half / diff
     out = np.zeros(len(p), dtype=np.clongdouble)
     for c, j, pick in _omega_filter_terms(comp, req):
         t = np.longdouble(c) * gval[j]
