@@ -33,6 +33,18 @@ def _parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j"))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the counts: a bad count is a parse error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_curve(text: str):
     if text == "p1":
         return RationalCurve()
@@ -278,7 +290,7 @@ def main(argv=None) -> int:
     c.add_argument("--word", required=True)
     c.add_argument("--point", action="append",
                    help="label=value bindings for s:<label> letters")
-    c.add_argument("--samples", type=int, default=1 << 18)
+    c.add_argument("--samples", type=_positive_int, default=1 << 18)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--scheme", choices=("mc", "qmc"), default="mc")
     c.add_argument("--normalization", choices=("raw", "2pii", "star"),
@@ -289,16 +301,17 @@ def main(argv=None) -> int:
     i = sub.add_parser("identities", help="run an identity suite")
     i.add_argument("--suite", required=True,
                    choices=("algebra", "trees", "derivations", "forms", "numeric"))
-    i.add_argument("--trials", type=int, default=12)
-    i.add_argument("--max-m", dest="max_m", type=int, default=4)
-    i.add_argument("--max-leaves", dest="max_leaves", type=int, default=6)
-    i.add_argument("--samples", type=int, default=1 << 16)
+    i.add_argument("--trials", type=_positive_int, default=12)
+    i.add_argument("--max-m", dest="max_m", type=_positive_int, default=4)
+    i.add_argument("--max-leaves", dest="max_leaves", type=_positive_int,
+                   default=6)
+    i.add_argument("--samples", type=_positive_int, default=1 << 16)
     i.set_defaults(fn=cmd_identities)
 
     r = sub.add_parser("reference", help="emit reference tables")
     r.add_argument("--table", required=True,
                    choices=("sv-polylog", "ek-convergence", "dilog-coproduct"))
-    r.add_argument("--grid", type=int, default=9)
+    r.add_argument("--grid", type=_positive_int, default=9)
     r.add_argument("--out")
     r.set_defaults(fn=cmd_reference)
 

@@ -129,32 +129,6 @@ class _CompiledTree:
     kappa_vertices: int
 
 
-def _edge_endpoints(tree: PlaneTree):
-    """Endpoint sites of every edge: ('leaf', pos) or ('node', block)."""
-    out = {}
-    if tree.n == 1:
-        out[("leaf", 0)] = (("leaf", 0), ("leaf", 1))
-        return out
-    parent = {}
-
-    def walk(block):
-        for ch in tree.node_children(block):
-            if isinstance(ch, tuple):
-                parent[("int", ch)] = block
-                walk(ch)
-            else:
-                parent[("leaf", ch)] = block
-
-    walk(("root",))
-    parent[("leaf", 0)] = ("root",)
-    for e in tree.edges():
-        if e[0] == "leaf":
-            out[e] = (("leaf", e[1]), ("node", parent[e]))
-        else:
-            out[e] = (("node", e[1]), ("node", parent[e]))
-    return out
-
-
 def _orientation(ends, j, cap):
     """The one way of handing each Green edge g != j to one of its internal
     ends with vertex v receiving cap[v] edges, as owner[g] = (end position,
@@ -257,7 +231,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     """Build the flattened integrand template, or None if the tree's
     integrand vanishes identically (zero-tree pruning)."""
     letters = tree.letters()
-    endpoints = _edge_endpoints(tree)
+    endpoints = tree.edge_ends()
     # internal vertices in canonical order
     if tree.n == 1:
         nodes = []

@@ -216,10 +216,6 @@ class AlgebraElement(LinearCombination):
         (d,) = {len(w) for w in self.terms}
         return d
 
-    def truncate(self, max_degree: int) -> "AlgebraElement":
-        return AlgebraElement._from_canonical(
-            {w: c for w, c in self.terms.items() if len(w) <= max_degree})
-
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return concat(self, other) - concat(other, self)
 
@@ -302,9 +298,6 @@ class CyclicElement(LinearCombination):
         for w in self.terms:
             out.update(w.rep)
         return out
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
 
 def cyclic_project(a: AlgebraElement) -> CyclicElement:
@@ -518,16 +511,23 @@ def parse_cyclic(text: str) -> CyclicWord:
 
 
 def parse_element(text: str) -> CyclicElement:
-    """Parse sums like `3/2*C(s:a s:b) - C(s:a dz1)`."""
-    s = text.replace("-", "+-").replace(" ", " ")
-    parts = [p.strip() for p in s.split("+") if p.strip()]
+    """Parse sums like `3/2*C(s:a s:b) - C(s:a dz1)`.  Only signs outside
+    the parentheses split terms, and only a `*` before them ends a
+    coefficient, so point labels such as `s:-1+0.5i` or `s:a*b` stay whole."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch in "+-" and depth == 0:
+            parts.append(text[start:i])
+            start = i
+    parts.append(text[start:])
     acc = {}
-    for part in parts:
+    for part in filter(None, (p.strip() for p in parts)):
         coeff = Fraction(1)
-        if part.startswith("-"):
-            coeff = -coeff
+        if part[0] in "+-":
+            coeff = Fraction(-1 if part[0] == "-" else 1)
             part = part[1:].strip()
-        if "*" in part:
+        if "*" in part.split("(", 1)[0]:
             cs, part = part.split("*", 1)
             coeff *= Fraction(cs.strip())
         add_into(acc, parse_cyclic(part), coeff)

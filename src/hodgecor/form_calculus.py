@@ -102,13 +102,6 @@ class FormPolynomial(LinearCombination):
     def __repr__(self):
         return pretty(self)
 
-    def map_terms(self, fn: Callable) -> "FormPolynomial":
-        acc = {}
-        for mono, c in self.terms.items():
-            for m2, c2 in fn(mono).terms.items():
-                add_into(acc, m2, c * c2)
-        return FormPolynomial._from_canonical(acc)
-
     def bidegree_component(self, n_d: int, n_db: int) -> "FormPolynomial":
         """Terms with exactly n_d 'd' symbols and n_db 'db' symbols."""
         out = {}

@@ -93,7 +93,7 @@ class RationalCurve:
         d = x - y
         g = np.log(np.abs(d))
         dx = 0.5 / d if need_dx else None
-        dy = -0.5 / d if need_dy else None
+        dy = (-dx if need_dx else -0.5 / d) if need_dy else None
         if not is_infinity(a):
             a = complex(a)
             lx, ly = np.log(np.abs(x - a)), np.log(np.abs(y - a))

@@ -32,14 +32,13 @@ plane orientation is fixed downstream by the closed-form correlator anchors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact_algebra import (
-    CyclicElement, CyclicWord, Letter, LinearCombination, add_into,
-    antihol_form, hol_form, sympl_p, sympl_q,
+    CyclicElement, CyclicWord, Letter, LinearCombination, add_into, sympl_p,
+    sympl_q,
 )
 
 __all__ = [
@@ -62,14 +61,6 @@ class CasimirBasis:
         for i in range(1, genus + 1):
             pairs.append((sympl_p(i), 1, sympl_q(i)))   # dual(p_i) = q_i
             pairs.append((sympl_q(i), -1, sympl_p(i)))  # dual(q_i) = -p_i
-        return CasimirBasis(tuple(pairs))
-
-    @staticmethod
-    def curve_forms(genus: int) -> "CasimirBasis":
-        pairs = []
-        for i in range(1, genus + 1):
-            pairs.append((hol_form(i), 1, antihol_form(i)))
-            pairs.append((antihol_form(i), -1, hol_form(i)))
         return CasimirBasis(tuple(pairs))
 
     def h_letters(self) -> set:
@@ -111,59 +102,57 @@ def _perm_parity(seq_from: Sequence, seq_to: Sequence) -> int:
     return sign
 
 
-def _children(intervals, lo: int, hi: int) -> list:
-    """Direct children (intervals and singleton positions) of the laminar
-    node spanning positions lo..hi, by increasing start position."""
-    block = (lo, hi)
-    inner = [iv for iv in intervals
-             if lo <= iv[0] and iv[1] <= hi and iv != block]
-    out, pos = [], lo
-    while pos <= hi:
-        tops = [iv for iv in inner if iv[0] == pos]
-        if tops:
-            iv = max(tops, key=lambda t: t[1])
-            out.append(iv)
-            pos = iv[1] + 1
-        else:
-            out.append(pos)
-            pos += 1
-    return out
-
-
-def _dfs_order(npos: int, intervals: frozenset) -> list:
-    """Canonical edge order: position-0 leaf first, then depth first with
-    children by increasing start position.  Single-edge trees (npos == 2,
-    no internal vertex) have exactly one edge."""
-    if npos == 2 and not intervals:
-        return [("leaf", 0)]
-
-    order = [("leaf", 0)]
-
-    def rec(block):
-        for ch in _children(intervals, *block):
-            if isinstance(ch, tuple):
-                order.append(("int", ch))
-                rec(ch)
-            else:
-                order.append(("leaf", ch))
-
-    rec((1, npos - 1))
-    return order
+def _structure(npos: int, intervals) -> tuple:
+    """(children, order, parent) of the plane tree with boundary positions
+    0..npos-1 and the laminar family `intervals`, from one stack pass over
+    the intervals by (start, -end): children[block] lists a block's direct
+    children (intervals and singleton positions) by increasing start, order
+    is the canonical edge order and parent[i] the block that edge order[i]
+    hangs from.  Blocks are ('root',) and the intervals.  A single-edge tree
+    (npos == 2, no internal vertex) has exactly one edge and no parent.
+    Raises ValueError if an interval ends past the block it opens in, that
+    is, if two arcs cross."""
+    root = ("root",)
+    if npos == 2:
+        return {root: [1]}, (("leaf", 0),), ()
+    children, order, parent = {root: []}, [("leaf", 0)], [root]
+    stack = [(root, npos - 1)]
+    ivs = iter(sorted(intervals, key=lambda iv: (iv[0], -iv[1])))
+    iv = next(ivs, None)
+    for pos in range(1, npos):
+        while iv is not None and iv[0] == pos:
+            block, hi = stack[-1]
+            if iv[1] > hi:
+                raise ValueError("edge arcs cross; not a plane tree")
+            children[block].append(iv)
+            children[iv] = []
+            order.append(("int", iv))
+            parent.append(block)
+            stack.append((iv, iv[1]))
+            iv = next(ivs, None)
+        block = stack[-1][0]
+        children[block].append(pos)
+        order.append(("leaf", pos))
+        parent.append(block)
+        while stack and stack[-1][1] == pos:
+            stack.pop()
+    return children, tuple(order), tuple(parent)
 
 
 class PlaneTree:
     """Decorated plane tree in canonical form; construct via `from_raw`."""
 
-    __slots__ = ("word", "intervals", "n", "null", "_key", "_edges", "_child")
+    __slots__ = ("word", "intervals", "n", "null", "_key", "_child", "_edges",
+                 "_parent")
 
-    def __init__(self, word: CyclicWord, intervals: frozenset, null: bool):
+    def __init__(self, word: CyclicWord, intervals: frozenset, null: bool,
+                 structure: tuple):
         self.word = word
         self.intervals = intervals
         self.n = len(word) - 1
         self.null = null
         self._key = (word, tuple(sorted(intervals)), null)
-        self._edges = None
-        self._child = {}
+        self._child, self._edges, self._parent = structure
 
     # -- canonical constructor ------------------------------------------
     @staticmethod
@@ -203,7 +192,7 @@ class PlaneTree:
         winners = sorted(r for r, k in valid.items() if k == best_key)
         r0 = winners[0]
         intervals = frozenset(best_key)
-        _check_laminar(intervals)
+        structure = _structure(npos, intervals)
 
         def translate_with(r):
             def tr(a: frozenset):
@@ -224,7 +213,7 @@ class PlaneTree:
         # decorated automorphisms = rotations tying the minimal encoding;
         # an odd edge permutation collapses the orientation torsor
         null = False
-        order0 = _dfs_order(npos, intervals)
+        order0 = structure[1]
         tr0 = translate_with(r0)
         if npos > 2:
             for r in winners[1:]:
@@ -240,7 +229,7 @@ class PlaneTree:
                 if _perm_parity(image, order0) < 0:
                     null = True
                     break
-        tree = PlaneTree(word, intervals, null)
+        tree = PlaneTree(word, intervals, null, structure)
         return tree, tr0
 
     # -- structure --------------------------------------------------------
@@ -248,9 +237,15 @@ class PlaneTree:
         return self.word.rep
 
     def edges(self) -> list:
-        if self._edges is None:
-            self._edges = _dfs_order(self.n + 1, self.intervals)
         return list(self._edges)
+
+    def edge_ends(self) -> dict:
+        """(child end, parent end) of every edge, in canonical edge order;
+        an end is ('leaf', pos) or ('node', block)."""
+        if self.n == 1:
+            return {("leaf", 0): (("leaf", 0), ("leaf", 1))}
+        return {e: (e if e[0] == "leaf" else ("node", e[1]), ("node", p))
+                for e, p in zip(self._edges, self._parent)}
 
     def edge_arc(self, edge) -> frozenset:
         kind, val = edge
@@ -262,11 +257,7 @@ class PlaneTree:
     def node_children(self, block) -> list:
         """Direct children (intervals and singleton positions) of a laminar
         node; block is ('root',) or an interval."""
-        if block in self._child:
-            return self._child[block]
-        lo, hi = (1, self.n) if block == ("root",) else block
-        out = self._child[block] = _children(self.intervals, lo, hi)
-        return out
+        return self._child[block]
 
     def vertex_valencies(self) -> list:
         if self.n == 1:
@@ -313,14 +304,6 @@ class PlaneTree:
         return f"{self.letters()[0]}{body}|{edges}"
 
 
-def _check_laminar(intervals):
-    for (a, b), (c, d) in itertools.combinations(sorted(intervals), 2):
-        inside = (c >= a and d <= b) or (a >= c and b <= d)
-        disjoint = b < c or d < a
-        if not (inside or disjoint):
-            raise ValueError("edge arcs cross; not a plane tree")
-
-
 class OrientedForest:
     """Multiset of plane trees with a signed edge ordering, stored with
     components sorted and the orientation deviation absorbed into `sign`."""
@@ -343,9 +326,6 @@ class OrientedForest:
 
     def degree(self) -> int:
         return sum(t.degree() for t in self.trees)
-
-    def num_edges(self) -> int:
-        return sum(len(t.edges()) for t in self.trees)
 
     def is_null(self) -> bool:
         return _null_forest(self.trees)
@@ -439,8 +419,8 @@ def canonical_orientation(t: PlaneTree) -> OrientedForest:
 
 def _piece(tree: PlaneTree, branch: frozenset, extra: Letter):
     """Subtree spanned by the boundary arc `branch` plus one new leaf `extra`
-    closing the arc.  Returns (piece_tree, member_test, edge_map, new_edge_id)
-    with edge_map translating old edge ids into the piece."""
+    closing the arc.  Returns (piece_tree, edge_map, new_edge_id) with
+    edge_map translating old edge ids into the piece."""
     npos = tree.n + 1
     arc = _consecutive_arc(branch, npos)
     if arc is None:
@@ -468,44 +448,21 @@ def _piece(tree: PlaneTree, branch: frozenset, extra: Letter):
     return piece_tree, edge_map, new_eid
 
 
-def _branches_at_leaf(T: PlaneTree, pos: int) -> list:
-    """Arcs of the branches remaining after removing the leaf at `pos`,
-    ordered with the branch ending at pos-1 first, then clockwise."""
+def _branches_at_leaf(T: PlaneTree, pos: int, block) -> list:
+    """Arcs of the branches remaining after removing the leaf at `pos`, which
+    hangs from `block`, ordered with the branch ending at pos-1 first, then
+    clockwise from pos+1."""
     npos = T.n + 1
-    if pos == 0:
-        blocks = T.node_children(("root",))
-        arcs = [frozenset([b]) if not isinstance(b, tuple)
-                else frozenset(range(b[0], b[1] + 1)) for b in blocks]
-    else:
-        node = ("root",)
-        for iv in sorted(T.intervals, key=lambda iv: iv[1] - iv[0]):
-            if iv[0] <= pos <= iv[1]:
-                if pos in [c for c in T.node_children(iv) if not isinstance(c, tuple)]:
-                    node = iv
-                    break
-        arcs = []
-        for c in T.node_children(node):
-            if not isinstance(c, tuple) and c == pos:
-                continue
-            arcs.append(frozenset([c]) if not isinstance(c, tuple)
-                        else frozenset(range(c[0], c[1] + 1)))
-        span = frozenset(range(1, npos)) if node == ("root",) \
-            else frozenset(range(node[0], node[1] + 1))
-        parent_arc = frozenset(range(npos)) - span
-        if parent_arc:
-            arcs.append(parent_arc)
-
-    def end_of(arc):
-        return _consecutive_arc(arc, npos)[1]
-
-    def start_of(arc):
-        return _consecutive_arc(arc, npos)[0]
-
-    prev = (pos - 1) % npos
-    last = [a for a in arcs if end_of(a) == prev]
-    rest = sorted((a for a in arcs if end_of(a) != prev),
-                  key=lambda a: (start_of(a) - (pos + 1)) % npos)
-    return last + rest
+    kids = T.node_children(block)
+    around = [frozenset(range(c[0], c[1] + 1)) if isinstance(c, tuple)
+              else frozenset([c]) for c in kids]
+    # the arc above the vertex closes the clockwise cycle of its branches;
+    # at the root it is the leaf at 0
+    lo, hi = (1, npos - 1) if block == ("root",) else block
+    around.append(frozenset(range(npos)) - frozenset(range(lo, hi + 1)))
+    i = len(kids) if pos == 0 else kids.index(pos)
+    rest = around[i + 1:] + around[:i]
+    return rest[-1:] + rest[:-1]
 
 
 def _join_pieces(pieces, edge_maps, new_ids, groups) -> list:
@@ -588,7 +545,7 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
             letter = T.letters()[edge[1]]
             if letter.kind != "s" or letter not in s_letters:
                 continue
-            branches = _branches_at_leaf(T, edge[1])
+            branches = _branches_at_leaf(T, edge[1], T._parent[epos])
             groups = [[e for e in rest if _edge_in(T, e, br)] for br in branches]
             p_group = _perm_parity(rest, [e for g in groups for e in g]) if rest else 1
             pieces, maps, news = [], [], []
@@ -753,29 +710,13 @@ def tree_sum_ext(x: Wedge2) -> ForestVector:
 
 def _tree_adjacency(t: PlaneTree):
     """Vertex adjacency with edge labels; vertices are ('leaf', pos) and
-    ('node', block)."""
-    edges = {}
-    if t.n == 1:
-        edges[("leaf", 0)] = [(("leaf", 0), ("leaf", 1))]
-        return {("leaf", 0): [(("leaf", 0), ("leaf", 1))],
-                ("leaf", 1): [(("leaf", 0), ("leaf", 0))]}
+    ('node', block).  Each node lists its parent edge, then its children in
+    order; the root lists the leaf at 0 last."""
+    ends = list(t.edge_ends().items())
     adj = {}
-
-    def add(u, v, e):
+    for e, (u, v) in ends[1:] + ends[:1]:
         adj.setdefault(u, []).append((e, v))
         adj.setdefault(v, []).append((e, u))
-
-    def walk(block):
-        bid = ("node", block)
-        for ch in t.node_children(block):
-            if isinstance(ch, tuple):
-                add(bid, ("node", ch), ("int", ch))
-                walk(ch)
-            else:
-                add(bid, ("leaf", ch), ("leaf", ch))
-
-    walk(("root",))
-    add(("node", ("root",)), ("leaf", 0), ("leaf", 0))
     return adj
 
 

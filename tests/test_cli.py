@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hodgecor.cli import main
 from hodgecor.geometry import INFINITY, cross_ratio, single_valued_polylog
@@ -22,6 +23,19 @@ class TestCorrelator:
             / (2j * np.pi) ** 2
         assert abs(val - target) < max(3 * payload["stderr"], 0.05 * abs(target))
         assert payload["request"]["word"] == "C(s:a s:b s:c)"
+
+    def test_signed_point_label_in_word(self, tmp_path):
+        out = tmp_path / "res.json"
+        code = main([
+            "correlator", "--word", "C(s:0 s:1 s:0.3+0.1i)",
+            "--samples", str(1 << 15), "--seed", "3", "--out", str(out),
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        val = payload["value"]["re"] + 1j * payload["value"]["im"]
+        target = -single_valued_polylog(2, cross_ratio(INFINITY, 0, 1, 0.3 + 0.1j)) \
+            / (2j * np.pi) ** 2
+        assert abs(val - target) < max(3 * payload["stderr"], 0.05 * abs(target))
 
     def test_malformed_word_exit_2(self):
         assert main(["correlator", "--word", "C(s:a bogus!!)"]) == 2
@@ -126,6 +140,23 @@ class TestIdentities:
     def test_trees_suite(self, capsys):
         assert main(["identities", "--suite", "trees", "--trials", "4",
                      "--max-leaves", "5"]) == 0
+
+
+class TestCounts:
+    @pytest.mark.parametrize("argv", [
+        ["correlator", "--word", "C(s:0 s:1 s:2)", "--samples", "-5"],
+        ["identities", "--suite", "trees", "--trials", "-3"],
+        ["identities", "--suite", "forms", "--max-m", "0"],
+        ["identities", "--suite", "trees", "--max-leaves", "0"],
+        ["identities", "--suite", "numeric", "--samples", "0"],
+        ["reference", "--table", "sv-polylog", "--grid", "-1"],
+        ["reference", "--table", "sv-polylog", "--grid", "two"],
+    ])
+    def test_non_positive_count_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
 
 class TestReference:

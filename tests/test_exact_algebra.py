@@ -166,6 +166,14 @@ class TestSerialization:
         assert el.terms[parse_cyclic("C(s:a s:b dz1)")] == Fraction(3, 2)
         assert el.terms[parse_cyclic("C(p2 q2)")] == Fraction(-1)
 
+    def test_signs_inside_point_labels(self):
+        got = parse_element("C(s:-1+0.5i s:0 s:1) - 2*C(s:a s:b s:c)")
+        want = CyclicElement.from_word([point(x) for x in ("-1+0.5i", "0", "1")]) \
+            - CyclicElement.from_word([point(x) for x in "abc"], 2)
+        assert got == want
+        assert parse_element("C(s:a*b s:c) + 1/2*C(s:a*b s:c)") == \
+            CyclicElement.from_word([point("a*b"), point("c")], Fraction(3, 2))
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_cyclic("C(s:a bogus!)")

@@ -7,8 +7,9 @@ from hodgecor.exact_algebra import (
 )
 from hodgecor.tree_calculus import (
     CasimirBasis, ForestVector, OrientedForest, PlaneTree, Wedge2,
-    abstract_projection, canonical_orientation, cobracket, cobracket_squared,
-    differential, enumerate_trivalent_trees, tree_sum_ext, tree_sum_map,
+    _branches_at_leaf, _consecutive_arc, _structure, abstract_projection,
+    canonical_orientation, cobracket, cobracket_squared, differential,
+    enumerate_trivalent_trees, tree_sum_ext, tree_sum_map,
 )
 
 BASIS = CasimirBasis.symplectic(1)
@@ -46,6 +47,111 @@ class TestEnumeration:
             "s:0((s:1 s:2) s:3)|leaf:0,int:(1, 2),leaf:1,leaf:2,leaf:3",
             "s:0(s:1 (s:2 s:3))|leaf:0,leaf:1,int:(2, 3),leaf:2,leaf:3",
         ]
+
+
+def reference_structure(npos, intervals):
+    """(children, order, parent) block by block, as the tree walkers did it
+    before the one-pass `_structure`: each block's children from a scan of
+    all intervals, the edge order depth first, parents from the same walk."""
+    def kids(lo, hi):
+        inner = [iv for iv in intervals
+                 if lo <= iv[0] and iv[1] <= hi and iv != (lo, hi)]
+        out, pos = [], lo
+        while pos <= hi:
+            tops = [iv for iv in inner if iv[0] == pos]
+            if tops:
+                iv = max(tops, key=lambda t: t[1])
+                out.append(iv)
+                pos = iv[1] + 1
+            else:
+                out.append(pos)
+                pos += 1
+        return out
+
+    root = ("root",)
+    if npos == 2:
+        return {root: [1]}, (("leaf", 0),), ()
+    children, order, parent = {}, [("leaf", 0)], [root]
+
+    def rec(block):
+        children[block] = kids(*((1, npos - 1) if block == root else block))
+        for ch in children[block]:
+            order.append(("int", ch) if isinstance(ch, tuple) else ("leaf", ch))
+            parent.append(block)
+            if isinstance(ch, tuple):
+                rec(ch)
+
+    rec(root)
+    return children, tuple(order), tuple(parent)
+
+
+def reference_branches(T, pos):
+    """Branch arcs at the leaf `pos` as found before: the leaf's block from
+    a scan of the intervals, the arcs sorted by their cyclic ends."""
+    npos = T.n + 1
+    children = reference_structure(npos, T.intervals)[0]
+
+    def arc(b):
+        return frozenset([b]) if not isinstance(b, tuple) \
+            else frozenset(range(b[0], b[1] + 1))
+
+    if pos == 0:
+        arcs = [arc(b) for b in children[("root",)]]
+    else:
+        node = ("root",)
+        for iv in sorted(T.intervals, key=lambda iv: iv[1] - iv[0]):
+            if iv[0] <= pos <= iv[1] and pos in children[iv]:
+                node = iv
+                break
+        arcs = [arc(c) for c in children[node] if c != pos]
+        span = frozenset(range(1, npos)) if node == ("root",) else arc(node)
+        arcs.append(frozenset(range(npos)) - span)
+    prev = (pos - 1) % npos
+    last = [a for a in arcs if _consecutive_arc(a, npos)[1] == prev]
+    rest = sorted((a for a in arcs if _consecutive_arc(a, npos)[1] != prev),
+                  key=lambda a: (_consecutive_arc(a, npos)[0] - (pos + 1)) % npos)
+    return last + rest
+
+
+@pytest.fixture(scope="module")
+def structure_trees():
+    """Every trivalent tree on 2-8 distinct letters, and every tree in the
+    differentials of the trees of distinct and random words of up to 6
+    letters: contracted trees of higher valency and the cut pieces."""
+    trees = [f.trees[0] for m in range(2, 9)
+             for f in enumerate_trivalent_trees(distinct_word(m))]
+    words = [distinct_word(m) for m in range(2, 7)] \
+        + [CyclicWord(w) for w in random_words(21, 12, 6)]
+    for w in words:
+        for f in enumerate_trivalent_trees(w):
+            dv = differential(ForestVector.from_forest(f), BASIS)
+            trees.extend(t for k in dv.terms for t in k)
+    assert any(not t.is_trivalent() for t in trees)
+    return trees
+
+
+class TestStructure:
+    def test_crossing_arcs_rejected(self):
+        letters = [point(str(i)) for i in range(5)]
+        with pytest.raises(ValueError, match="cross"):
+            PlaneTree.from_raw(letters, [frozenset({1, 2}), frozenset({2, 3})])
+
+    def test_matches_block_walk(self, structure_trees):
+        for t in structure_trees:
+            want = reference_structure(t.n + 1, t.intervals)
+            assert _structure(t.n + 1, t.intervals) == want
+            children, order, _ = want
+            assert t.edges() == list(order)
+            assert all(t.node_children(b) == c for b, c in children.items())
+
+    def test_branches_match_arc_sort(self, structure_trees):
+        for t in structure_trees:
+            if t.n == 1:
+                continue
+            ends = t.edge_ends()
+            for pos in range(t.n + 1):
+                _, (_, block) = ends[("leaf", pos)]
+                assert _branches_at_leaf(t, pos, block) == reference_branches(t, pos)
 
 
 class TestOrientation:
