@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 identity-suite failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -30,7 +31,10 @@ def _parse_complex(text: str) -> complex:
     text = text.strip()
     if text in ("inf", "oo"):
         return INFINITY
-    return complex(text.replace("i", "j"))
+    value = complex(text.replace("i", "j"))
+    if not cmath.isfinite(value):
+        raise ValueError(f"expected a finite complex number, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -42,6 +46,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _word_length(text: str) -> int:
+    """argparse type of --max-leaves: a word needs two letters."""
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"a word needs at least 2 letters, got {text!r}")
     return value
 
 
@@ -303,7 +316,7 @@ def main(argv=None) -> int:
                    choices=("algebra", "trees", "derivations", "forms", "numeric"))
     i.add_argument("--trials", type=_positive_int, default=12)
     i.add_argument("--max-m", dest="max_m", type=_positive_int, default=4)
-    i.add_argument("--max-leaves", dest="max_leaves", type=_positive_int,
+    i.add_argument("--max-leaves", dest="max_leaves", type=_word_length,
                    default=6)
     i.add_argument("--samples", type=_positive_int, default=1 << 16)
     i.set_defaults(fn=cmd_identities)

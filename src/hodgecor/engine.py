@@ -75,10 +75,13 @@ class CorrelatorRequest:
         if txt in ("inf", "oo"):
             return INFINITY
         try:
-            return complex(txt.replace("i", "j"))
+            value = complex(txt.replace("i", "j"))
         except ValueError:
             raise ValueError(f"cannot resolve point label {label!r}; "
                              f"pass it in request.points")
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ValueError(f"point label {label!r} is not a finite number")
+        return value
 
 
 @dataclass
@@ -236,7 +239,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     if tree.n == 1:
         nodes = []
     else:
-        nodes = [("root",)] + sorted(tree.intervals)
+        nodes = [("root",)] + list(tree.intervals)
     var_of = {("node", b): i for i, b in enumerate(nodes)}
     k = len(nodes)
 
@@ -641,12 +644,6 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
 
 def _validate_request(req: CorrelatorRequest):
     req.curve.check_measure(req.green)
-    for cw in req.word.terms:
-        if len(cw.rep) == 2 and any(ell.kind != "s" for ell in cw.rep):
-            raise ValueError(f"word {cw!r} has no Green edge: its one edge "
-                             f"is decorated by a form")
-    labels ={ell.label for ell in req.word.letters() if ell.kind == "s"}
-    items = [(lab, req.resolve_point(lab)) for lab in labels]
 
     def same(a, b) -> bool:
         """Equal points of the curve (on a torus, equal up to a period), at
@@ -655,6 +652,16 @@ def _validate_request(req: CorrelatorRequest):
             return is_infinity(a) and is_infinity(b)
         return req.curve.separation(complex(a) - complex(b)) < 1e-9
 
+    for cw in req.word.terms:
+        if len(cw.rep) == 2:
+            if any(ell.kind != "s" for ell in cw.rep):
+                raise ValueError(f"word {cw!r} has no Green edge: its one "
+                                 f"edge is decorated by a form")
+            if same(*(req.resolve_point(ell.label) for ell in cw.rep)):
+                raise ValueError(f"word {cw!r} has its two letters on one "
+                                 f"point: its one edge is G(a, a)")
+    labels = {ell.label for ell in req.word.letters() if ell.kind == "s"}
+    items = [(lab, req.resolve_point(lab)) for lab in labels]
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             if same(items[i][1], items[j][1]):

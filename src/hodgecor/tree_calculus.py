@@ -68,20 +68,22 @@ class CasimirBasis:
 
 
 # ----------------------------------------------------------------------
-# geometry helpers
+# geometry helpers; an arc is a cyclic interval (start, end), inclusive,
+# of boundary positions 0..npos-1
 # ----------------------------------------------------------------------
 
-def _consecutive_arc(positions: frozenset, npos: int):
-    """(start, end) of a proper consecutive cyclic arc, else None."""
-    k = len(positions)
-    if k == 0 or k >= npos:
-        return None
-    for s in positions:
-        if (s - 1) % npos not in positions:
-            if all((s + t) % npos in positions for t in range(k)):
-                return (s, (s + k - 1) % npos)
-            return None
-    return None
+def _arc_len(arc, npos: int) -> int:
+    return (arc[1] - arc[0]) % npos + 1
+
+
+def _complement(arc, npos: int) -> tuple:
+    """The cyclic interval of the positions outside the proper arc `arc`."""
+    return ((arc[1] + 1) % npos, (arc[0] - 1) % npos)
+
+
+def _inside(a, b, npos: int) -> bool:
+    """Is the arc a contained in the proper arc b?"""
+    return (a[0] - b[0]) % npos + _arc_len(a, npos) <= _arc_len(b, npos)
 
 
 def _perm_parity(seq_from: Sequence, seq_to: Sequence) -> int:
@@ -145,92 +147,70 @@ class PlaneTree:
     __slots__ = ("word", "intervals", "n", "null", "_key", "_child", "_edges",
                  "_parent")
 
-    def __init__(self, word: CyclicWord, intervals: frozenset, null: bool,
+    def __init__(self, word: CyclicWord, intervals: tuple, null: bool,
                  structure: tuple):
         self.word = word
         self.intervals = intervals
         self.n = len(word) - 1
         self.null = null
-        self._key = (word, tuple(sorted(intervals)), null)
+        self._key = (word, intervals, null)
         self._child, self._edges, self._parent = structure
 
     # -- canonical constructor ------------------------------------------
     @staticmethod
-    def from_raw(letters: Sequence[Letter], arcs: Iterable[frozenset] = ()):
+    def from_raw(letters: Sequence[Letter], arcs: Iterable[tuple] = ()):
         """Canonicalize a raw boundary sequence plus edge arcs.
 
-        Returns (tree, translate) where translate maps raw arc frozensets
-        (including singletons {p} for leaf edges) to canonical edge ids.
+        Each arc is a cyclic interval (start, end), inclusive, of raw
+        positions, giving either side of an internal edge.  Returns
+        (tree, translate) where translate maps raw arcs (including (p, p)
+        for the leaf edge at p) to canonical edge ids.
         """
         letters = list(letters)
         npos = len(letters)
         if npos < 2:
             raise ValueError("a tree needs at least two leaves")
-        arcs = [frozenset(a) for a in arcs]
+        arcs = list(arcs)
+        if any(not 2 <= _arc_len(a, npos) <= npos - 2 for a in arcs):
+            raise ValueError("an edge arc must leave two leaves on either side")
         word = CyclicWord(letters)
         rots = [r for r in range(npos)
-                if tuple(letters[(r + t) % npos] for t in range(npos)) == word.rep]
+                if tuple(letters[r:] + letters[:r]) == word.rep]
 
-        def encode(r):
-            ivs = []
-            for a in arcs:
-                if not 2 <= len(a) <= npos - 2:
-                    return None
-                shifted = frozenset((x - r) % npos for x in a)
-                side = shifted if 0 not in shifted else frozenset(range(npos)) - shifted
-                arc = _consecutive_arc(side, npos)
-                if arc is None or arc[0] > arc[1]:
-                    return None
-                ivs.append(arc)
-            return tuple(sorted(ivs))
+        def side(a, r):
+            """The side away from 0 of the arc a with position r moved to 0."""
+            s, e = (a[0] - r) % npos, (a[1] - r) % npos
+            return (s, e) if 0 < s <= e else _complement((s, e), npos)
 
-        encoded = {r: encode(r) for r in rots}
-        valid = {r: k for r, k in encoded.items() if k is not None}
-        if not valid:
-            raise ValueError("arcs do not form a plane tree over this word")
-        best_key = min(valid.values())
-        winners = sorted(r for r, k in valid.items() if k == best_key)
+        def edge_id(a, r):
+            if npos == 2:
+                return ("leaf", 0)
+            k = _arc_len(a, npos)
+            if k == 1:
+                return ("leaf", (a[0] - r) % npos)
+            if k == npos - 1:
+                return ("leaf", (a[1] + 1 - r) % npos)
+            return ("int", side(a, r))
+
+        keys = {r: tuple(sorted(side(a, r) for a in arcs)) for r in rots}
+        intervals = min(keys.values())
+        winners = [r for r in rots if keys[r] == intervals]
         r0 = winners[0]
-        intervals = frozenset(best_key)
         structure = _structure(npos, intervals)
-
-        def translate_with(r):
-            def tr(a: frozenset):
-                if npos == 2:
-                    return ("leaf", 0)
-                shifted = frozenset((x - r) % npos for x in a)
-                if len(shifted) == 1:
-                    (p,) = shifted
-                    return ("leaf", p)
-                if len(shifted) == npos - 1:
-                    (p,) = frozenset(range(npos)) - shifted
-                    return ("leaf", p)
-                side = shifted if 0 not in shifted else frozenset(range(npos)) - shifted
-                arc = _consecutive_arc(side, npos)
-                return ("int", arc)
-            return tr
 
         # decorated automorphisms = rotations tying the minimal encoding;
         # an odd edge permutation collapses the orientation torsor
         null = False
         order0 = structure[1]
-        tr0 = translate_with(r0)
         if npos > 2:
             for r in winners[1:]:
-                trr = translate_with(r)
-                image = []
-                for e in order0:
-                    if e[0] == "leaf":
-                        raw = frozenset([(e[1] + r0) % npos])
-                    else:
-                        i, j = e[1]
-                        raw = frozenset((x + r0) % npos for x in range(i, j + 1))
-                    image.append(trr(raw))
+                image = [edge_id((e[1], e[1]) if e[0] == "leaf" else e[1], r - r0)
+                         for e in order0]
                 if _perm_parity(image, order0) < 0:
                     null = True
                     break
         tree = PlaneTree(word, intervals, null, structure)
-        return tree, tr0
+        return tree, lambda a: edge_id(a, r0)
 
     # -- structure --------------------------------------------------------
     def letters(self) -> tuple:
@@ -247,12 +227,11 @@ class PlaneTree:
         return {e: (e if e[0] == "leaf" else ("node", e[1]), ("node", p))
                 for e, p in zip(self._edges, self._parent)}
 
-    def edge_arc(self, edge) -> frozenset:
+    def edge_arc(self, edge) -> tuple:
+        """The arc an edge cuts off, away from position 0 for an internal
+        edge: (p, p) for the leaf edge at p, (i, j) for an interval."""
         kind, val = edge
-        if kind == "leaf":
-            return frozenset([val])
-        i, j = val
-        return frozenset(range(i, j + 1))
+        return (val, val) if kind == "leaf" else val
 
     def node_children(self, block) -> list:
         """Direct children (intervals and singleton positions) of a laminar
@@ -263,7 +242,7 @@ class PlaneTree:
         if self.n == 1:
             return []
         out = [len(self.node_children(("root",))) + 1]
-        for iv in sorted(self.intervals):
+        for iv in self.intervals:
             out.append(len(self.node_children(iv)) + 1)
         return out
 
@@ -280,10 +259,10 @@ class PlaneTree:
         return hash(self._key)
 
     def __lt__(self, other: "PlaneTree"):
-        return (self.word, sorted(self.intervals)) < (other.word, sorted(other.intervals))
+        return (self.word, self.intervals) < (other.word, other.intervals)
 
     def __repr__(self):
-        ivs = ",".join(f"{i}-{j}" for i, j in sorted(self.intervals))
+        ivs = ",".join(f"{i}-{j}" for i, j in self.intervals)
         tag = "!0" if self.null else ""
         return f"Tree[{self.word}; {ivs or 'o'}{tag}]"
 
@@ -401,8 +380,7 @@ def enumerate_trivalent_trees(decoration) -> list:
         return [OrientedForest([tree])]
     out = []
     for fam in _bracketings(1, n):
-        arcs = [frozenset(range(i, j + 1)) for i, j in fam]
-        tree, _ = PlaneTree.from_raw(letters, arcs)
+        tree, _ = PlaneTree.from_raw(letters, fam)
         out.append(OrientedForest([tree]))
     return out
 
@@ -417,35 +395,32 @@ def canonical_orientation(t: PlaneTree) -> OrientedForest:
 # the differential
 # ----------------------------------------------------------------------
 
-def _piece(tree: PlaneTree, branch: frozenset, extra: Letter):
-    """Subtree spanned by the boundary arc `branch` plus one new leaf `extra`
-    closing the arc.  Returns (piece_tree, edge_map, new_edge_id) with
-    edge_map translating old edge ids into the piece."""
+def _piece(tree: PlaneTree, branch: tuple, extra: Letter):
+    """Subtree spanned by the boundary arc `branch` = (s, e) plus one new
+    leaf `extra` closing the arc.  Position s + t of the branch becomes t
+    and the new leaf sits at k = len(branch); an edge inside the branch
+    keeps its shifted arc, an edge whose complement is inside takes the
+    complement of the shifted complement, which runs through k.  Returns
+    (piece_tree, edge_map, new_edge_id) with edge_map translating old edge
+    ids into the piece."""
     npos = tree.n + 1
-    arc = _consecutive_arc(branch, npos)
-    if arc is None:
-        raise ValueError("branch must be a cyclic arc")
-    s = arc[0]
-    order = [(s + t) % npos for t in range(len(branch))]
-    letters = [tree.letters()[p] for p in order] + [extra]
-    pos_map = {p: i for i, p in enumerate(order)}
-    new_npos = len(letters)
-    full = frozenset(range(npos))
+    s = branch[0]
+    k = _arc_len(branch, npos)
+    letters = [tree.letters()[(s + t) % npos] for t in range(k)] + [extra]
     raw_arcs = {}
     for e in tree.edges():
         side = tree.edge_arc(e)
-        if side <= branch:
-            raw = frozenset(pos_map[p] for p in side)
-        elif (full - side) <= branch:
-            raw = frozenset(range(new_npos)) - frozenset(pos_map[p] for p in (full - side))
+        if _inside(side, branch, npos):
+            raw_arcs[e] = ((side[0] - s) % npos, (side[1] - s) % npos)
         else:
-            continue
-        raw_arcs[e] = raw
+            out = _complement(side, npos)
+            if _inside(out, branch, npos):
+                raw_arcs[e] = _complement(
+                    ((out[0] - s) % npos, (out[1] - s) % npos), k + 1)
     piece_tree, tr = PlaneTree.from_raw(
-        letters, [a for a in raw_arcs.values() if 2 <= len(a) <= new_npos - 2])
+        letters, [a for a in raw_arcs.values() if 2 <= _arc_len(a, k + 1) <= k - 1])
     edge_map = {e: tr(a) for e, a in raw_arcs.items()}
-    new_eid = tr(frozenset([new_npos - 1]))
-    return piece_tree, edge_map, new_eid
+    return piece_tree, edge_map, tr((k, k))
 
 
 def _branches_at_leaf(T: PlaneTree, pos: int, block) -> list:
@@ -454,12 +429,10 @@ def _branches_at_leaf(T: PlaneTree, pos: int, block) -> list:
     clockwise from pos+1."""
     npos = T.n + 1
     kids = T.node_children(block)
-    around = [frozenset(range(c[0], c[1] + 1)) if isinstance(c, tuple)
-              else frozenset([c]) for c in kids]
+    around = [c if isinstance(c, tuple) else (c, c) for c in kids]
     # the arc above the vertex closes the clockwise cycle of its branches;
     # at the root it is the leaf at 0
-    lo, hi = (1, npos - 1) if block == ("root",) else block
-    around.append(frozenset(range(npos)) - frozenset(range(lo, hi + 1)))
+    around.append(_complement((1, npos - 1) if block == ("root",) else block, npos))
     i = len(kids) if pos == 0 else kids.index(pos)
     rest = around[i + 1:] + around[:i]
     return rest[-1:] + rest[:-1]
@@ -492,7 +465,6 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
     edges_before = sum(len(t.edges()) for t in trees[:a])
     L = T.edges()
     npos = T.n + 1
-    full = frozenset(range(npos))
 
     def assemble(pieces, flat_expr, coeff):
         """Splice the pieces into the forest at slot `a` and emit the term;
@@ -521,24 +493,22 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
 
         # (i) contraction of internal edges
         if edge[0] == "int":
-            arcs = [frozenset(range(i, j + 1)) for i, j in T.intervals
-                    if (i, j) != edge[1]]
-            t_new, tr = PlaneTree.from_raw(list(T.letters()), arcs)
+            arcs = [iv for iv in T.intervals if iv != edge[1]]
+            t_new, tr = PlaneTree.from_raw(T.letters(), arcs)
             emap = {e: tr(T.edge_arc(e)) for e in rest}
             assemble([t_new], [(0, emap[e]) for e in rest], _DELTA_SIGN * g_par)
 
         # (ii) Casimir cut of every edge
         side1 = T.edge_arc(edge)
-        side2 = full - side1
-        if side1 and side2 and T.n >= 1:
-            groups = [[e for e in rest if _edge_in(T, e, side1)],
-                      [e for e in rest if _edge_in(T, e, side2)]]
-            p_group = _perm_parity(rest, groups[0] + groups[1]) if rest else 1
-            for alpha, dsign, alpha_vee in basis.pairs:
-                p1, m1, ne1 = _piece(T, side1, alpha)
-                p2, m2, ne2 = _piece(T, side2, alpha_vee)
-                flat = _join_pieces([p1, p2], [m1, m2], [ne1, ne2], groups)
-                assemble([p1, p2], flat, dsign * g_par * p_group)
+        side2 = _complement(side1, npos)
+        groups = [[e for e in rest if _edge_in(T, e, side1)],
+                  [e for e in rest if _edge_in(T, e, side2)]]
+        p_group = _perm_parity(rest, groups[0] + groups[1]) if rest else 1
+        for alpha, dsign, alpha_vee in basis.pairs:
+            p1, m1, ne1 = _piece(T, side1, alpha)
+            p2, m2, ne2 = _piece(T, side2, alpha_vee)
+            flat = _join_pieces([p1, p2], [m1, m2], [ne1, ne2], groups)
+            assemble([p1, p2], flat, dsign * g_par * p_group)
 
         # (iii) removal of S-decorated leaves
         if edge[0] == "leaf" and T.n > 1:
@@ -558,10 +528,10 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
             assemble(pieces, flat, _S_SIGN * g_par * p_group)
 
 
-def _edge_in(T: PlaneTree, e, branch: frozenset) -> bool:
+def _edge_in(T: PlaneTree, e, branch: tuple) -> bool:
+    npos = T.n + 1
     side = T.edge_arc(e)
-    full = frozenset(range(T.n + 1))
-    return side <= branch or (full - side) <= branch
+    return _inside(side, branch, npos) or _inside(_complement(side, npos), branch, npos)
 
 
 def differential(v: ForestVector, basis: CasimirBasis,

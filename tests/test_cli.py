@@ -48,6 +48,32 @@ class TestCorrelator:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--word", "C(s:0 s:0)"],
+        ["--curve", "elliptic:tau=1i", "--mu", "volume",
+         "--word", "C(s:a s:a)", "--point", "a=0.2"],
+    ])
+    def test_two_letters_on_one_point_exit_3(self, argv, capsys):
+        # the word's one edge would evaluate G(a, a)
+        code = main(["correlator", *argv, "--samples", "4096"])
+        assert code == 3
+        assert "G(a, a)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "delta:nan", "--word", "C(s:0 s:1 s:2)"],
+        ["--word", "C(s:0 s:1 s:a)", "--point", "a=nan"],
+    ])
+    def test_non_finite_input_exit_2(self, argv, capsys):
+        code = main(["correlator", *argv, "--samples", "4096"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_point_label_exit_3(self, capsys):
+        code = main(["correlator", "--word", "C(s:0 s:1 s:nan)",
+                     "--samples", "4096"])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
     def test_p1_volume_measure_exit_3(self, capsys):
         code = main([
             "correlator", "--curve", "p1", "--mu", "volume",
@@ -157,6 +183,12 @@ class TestCounts:
             main(argv)
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    def test_one_letter_words_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", "--suite", "trees", "--max-leaves", "1"])
+        assert exc.value.code == 2
+        assert "at least 2 letters" in capsys.readouterr().err
 
 
 class TestReference:

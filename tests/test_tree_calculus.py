@@ -7,7 +7,7 @@ from hodgecor.exact_algebra import (
 )
 from hodgecor.tree_calculus import (
     CasimirBasis, ForestVector, OrientedForest, PlaneTree, Wedge2,
-    _branches_at_leaf, _consecutive_arc, _structure, abstract_projection,
+    _branches_at_leaf, _piece, _structure, abstract_projection,
     canonical_orientation, cobracket, cobracket_squared, differential,
     enumerate_trivalent_trees, tree_sum_ext, tree_sum_map,
 )
@@ -85,9 +85,29 @@ def reference_structure(npos, intervals):
     return children, tuple(order), tuple(parent)
 
 
+def _consecutive_arc(positions: frozenset, npos: int):
+    """(start, end) of a proper consecutive cyclic arc, else None."""
+    k = len(positions)
+    if k == 0 or k >= npos:
+        return None
+    for s in positions:
+        if (s - 1) % npos not in positions:
+            if all((s + t) % npos in positions for t in range(k)):
+                return (s, (s + k - 1) % npos)
+            return None
+    return None
+
+
+def arc_positions(arc, npos):
+    """The positions of the cyclic interval `arc` = (start, end)."""
+    return frozenset((arc[0] + t) % npos
+                     for t in range((arc[1] - arc[0]) % npos + 1))
+
+
 def reference_branches(T, pos):
     """Branch arcs at the leaf `pos` as found before: the leaf's block from
-    a scan of the intervals, the arcs sorted by their cyclic ends."""
+    a scan of the intervals, the arcs as position sets sorted by their
+    cyclic ends, returned as intervals."""
     npos = T.n + 1
     children = reference_structure(npos, T.intervals)[0]
 
@@ -110,7 +130,32 @@ def reference_branches(T, pos):
     last = [a for a in arcs if _consecutive_arc(a, npos)[1] == prev]
     rest = sorted((a for a in arcs if _consecutive_arc(a, npos)[1] != prev),
                   key=lambda a: (_consecutive_arc(a, npos)[0] - (pos + 1)) % npos)
-    return last + rest
+    return [_consecutive_arc(a, npos) for a in last + rest]
+
+
+def reference_piece(T, branch, extra):
+    """`_piece` on position sets: the branch positions renumbered from 0,
+    the new leaf after them, and an edge whose complement lies in the branch
+    mapped to the complement of its renumbered complement."""
+    npos = T.n + 1
+    full = frozenset(range(npos))
+    br = arc_positions(branch, npos)
+    order = [(branch[0] + t) % npos for t in range(len(br))]
+    letters = [T.letters()[p] for p in order] + [extra]
+    pos_map = {p: i for i, p in enumerate(order)}
+    new_npos = len(letters)
+    raw = {}
+    for e in T.edges():
+        side = arc_positions(T.edge_arc(e), npos)
+        if side <= br:
+            raw[e] = frozenset(pos_map[p] for p in side)
+        elif full - side <= br:
+            raw[e] = frozenset(range(new_npos)) \
+                - frozenset(pos_map[p] for p in full - side)
+    arcs = {e: _consecutive_arc(a, new_npos) for e, a in raw.items()}
+    tree, tr = PlaneTree.from_raw(
+        letters, [arcs[e] for e, a in raw.items() if 2 <= len(a) <= new_npos - 2])
+    return tree, {e: tr(a) for e, a in arcs.items()}, tr((new_npos - 1, new_npos - 1))
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +179,7 @@ class TestStructure:
     def test_crossing_arcs_rejected(self):
         letters = [point(str(i)) for i in range(5)]
         with pytest.raises(ValueError, match="cross"):
-            PlaneTree.from_raw(letters, [frozenset({1, 2}), frozenset({2, 3})])
+            PlaneTree.from_raw(letters, [(1, 2), (2, 3)])
 
     def test_matches_block_walk(self, structure_trees):
         for t in structure_trees:
@@ -152,6 +197,23 @@ class TestStructure:
             for pos in range(t.n + 1):
                 _, (_, block) = ends[("leaf", pos)]
                 assert _branches_at_leaf(t, pos, block) == reference_branches(t, pos)
+
+    def test_piece_matches_position_sets(self, structure_trees):
+        extra = point("new")
+        wrapped = 0
+        for t in structure_trees:
+            npos = t.n + 1
+            for e in t.edges():
+                side = t.edge_arc(e)
+                other = ((side[1] + 1) % npos, (side[0] - 1) % npos)
+                for branch in (side, other):
+                    wrapped += branch[0] > branch[1]
+                    got_tree, got_map, got_new = _piece(t, branch, extra)
+                    want_tree, want_map, want_new = reference_piece(t, branch, extra)
+                    assert got_tree.serialize() == want_tree.serialize()
+                    assert got_map == want_map
+                    assert got_new == want_new
+        assert wrapped
 
 
 class TestOrientation:
