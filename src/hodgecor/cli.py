@@ -37,16 +37,25 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the counts: a bad count is a parse error (exit 2)."""
+def _int_at_least(text: str, lowest: int, what: str) -> int:
+    """An integer >= lowest, else a parse error (exit 2)."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+        value = lowest - 1
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the counts."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds are non-negative integers."""
+    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def _word_length(text: str) -> int:
@@ -304,7 +313,7 @@ def main(argv=None) -> int:
     c.add_argument("--point", action="append",
                    help="label=value bindings for s:<label> letters")
     c.add_argument("--samples", type=_positive_int, default=1 << 18)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--scheme", choices=("mc", "qmc"), default="mc")
     c.add_argument("--normalization", choices=("raw", "2pii", "star"),
                    default="2pii")

@@ -662,6 +662,10 @@ def _validate_request(req: CorrelatorRequest):
                                  f"point: its one edge is G(a, a)")
     labels = {ell.label for ell in req.word.letters() if ell.kind == "s"}
     items = [(lab, req.resolve_point(lab)) for lab in labels]
+    for lab, val in items:
+        if is_infinity(val) and not req.curve.has_infinity:
+            raise ValueError(f"decoration point {lab!r} is at infinity, "
+                             f"which exists only on P^1")
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             if same(items[i][1], items[j][1]):

@@ -22,7 +22,7 @@ __all__ = [
     "point", "hol_form", "antihol_form", "sympl_p", "sympl_q",
     "word", "concat", "cyclic_project", "shuffle_sum", "shuffles",
     "partial_derivative", "derivative_identity_check", "is_lie_element",
-    "dilog_coproduct", "parse_cyclic", "parse_element", "format_cyclic",
+    "dilog_coproduct", "parse_cyclic", "parse_element",
 ]
 
 _KIND_ORDER = {"s": 0, "dz": 1, "dzb": 2, "p": 3, "q": 4}
@@ -263,10 +263,6 @@ class CyclicWord:
     def __lt__(self, other: "CyclicWord"):
         return (len(self.rep), [x._key() for x in self.rep]) < (
             len(other.rep), [x._key() for x in other.rep])
-
-    def rotations(self):
-        w = self.rep
-        return [w[i:] + w[:i] for i in range(len(w))]
 
     def __repr__(self):
         return "C(" + " ".join(map(str, self.rep)) + ")"
@@ -532,7 +528,3 @@ def parse_element(text: str) -> CyclicElement:
             coeff *= Fraction(cs.strip())
         add_into(acc, parse_cyclic(part), coeff)
     return CyclicElement._from_canonical(acc)
-
-
-def format_cyclic(w: CyclicWord) -> str:
-    return repr(w)

@@ -69,10 +69,11 @@ class RationalCurve:
     """The projective line in the affine coordinate z (INFINITY allowed as a
     decoration or base point).  Like `EllipticCurve`, it supplies every law
     the engine uses that depends on the curve: `green`, `separation`,
-    `global_point`/`global_density`, `default_rho`, `label` and
-    `check_measure`."""
+    `global_point`/`global_density`, `default_rho`, `label`, `has_infinity`
+    and `check_measure`."""
 
     label = "p1"
+    has_infinity = True
     default_rho = 0.8   # radius of the polar mixture components
 
     @staticmethod
@@ -135,6 +136,7 @@ class EllipticCurve:
     `RationalCurve`."""
 
     tau: complex
+    has_infinity = False
 
     def __post_init__(self):
         tau = complex(self.tau)

@@ -292,14 +292,8 @@ class OrientedForest:
     def __init__(self, trees: Sequence[PlaneTree], sign: int = 1,
                  edge_order: list | None = None):
         trees = list(trees)
-        if edge_order is not None:
-            canonical = [(ci, e) for ci, t in enumerate(trees) for e in t.edges()]
-            sign *= _perm_parity(edge_order, canonical)
         perm = sorted(range(len(trees)), key=lambda i: (trees[i]._key, i))
-        flat_old = [(ci, e) for ci, t in enumerate(trees) for e in t.edges()]
-        flat_new = [(ci, e) for ci in perm for e in trees[ci].edges()]
-        if flat_old:
-            sign *= _perm_parity(flat_old, flat_new)
+        sign *= _reorder_parity(trees, perm, edge_order)
         self.trees = tuple(trees[i] for i in perm)
         self.sign = sign
 
@@ -312,6 +306,16 @@ class OrientedForest:
     def __repr__(self):
         s = "+" if self.sign > 0 else "-"
         return s + " u ".join(map(repr, self.trees))
+
+
+def _reorder_parity(trees: Sequence[PlaneTree], perm: list,
+                    edge_order: list | None = None) -> int:
+    """Parity of `edge_order`, (component, edge) pairs defaulting to each
+    component's canonical edges in turn, against the canonical edges of the
+    components taken in the order `perm`."""
+    if edge_order is None:
+        edge_order = [(ci, e) for ci, t in enumerate(trees) for e in t.edges()]
+    return _perm_parity(edge_order, [(ci, e) for ci in perm for e in trees[ci].edges()])
 
 
 def _null_forest(trees: tuple) -> bool:
@@ -395,18 +399,16 @@ def canonical_orientation(t: PlaneTree) -> OrientedForest:
 # the differential
 # ----------------------------------------------------------------------
 
-def _piece(tree: PlaneTree, branch: tuple, extra: Letter):
-    """Subtree spanned by the boundary arc `branch` = (s, e) plus one new
-    leaf `extra` closing the arc.  Position s + t of the branch becomes t
-    and the new leaf sits at k = len(branch); an edge inside the branch
-    keeps its shifted arc, an edge whose complement is inside takes the
-    complement of the shifted complement, which runs through k.  Returns
-    (piece_tree, edge_map, new_edge_id) with edge_map translating old edge
-    ids into the piece."""
+def _branch_arcs(tree: PlaneTree, branch: tuple) -> dict:
+    """Raw arcs, in the piece cut off along the boundary arc `branch` =
+    (s, e), of the edges that reach into it, keyed in canonical edge order.
+    Position s + t of the branch becomes t and the new leaf closing the arc
+    sits at k = len(branch); an edge inside the branch keeps its shifted arc,
+    an edge whose complement is inside takes the complement of the shifted
+    complement, which runs through k."""
     npos = tree.n + 1
     s = branch[0]
     k = _arc_len(branch, npos)
-    letters = [tree.letters()[(s + t) % npos] for t in range(k)] + [extra]
     raw_arcs = {}
     for e in tree.edges():
         side = tree.edge_arc(e)
@@ -417,10 +419,20 @@ def _piece(tree: PlaneTree, branch: tuple, extra: Letter):
             if _inside(out, branch, npos):
                 raw_arcs[e] = _complement(
                     ((out[0] - s) % npos, (out[1] - s) % npos), k + 1)
+    return raw_arcs
+
+
+def _piece(tree: PlaneTree, branch: tuple, extra: Letter, raw_arcs: dict):
+    """Subtree spanned by the boundary arc `branch` plus one new leaf `extra`
+    closing the arc, from the branch's `_branch_arcs`.  Returns (piece_tree,
+    edge_map, new_edge_id) with edge_map translating old edge ids into the
+    piece."""
+    npos = tree.n + 1
+    k = _arc_len(branch, npos)
+    letters = [tree.letters()[(branch[0] + t) % npos] for t in range(k)] + [extra]
     piece_tree, tr = PlaneTree.from_raw(
         letters, [a for a in raw_arcs.values() if 2 <= _arc_len(a, k + 1) <= k - 1])
-    edge_map = {e: tr(a) for e, a in raw_arcs.items()}
-    return piece_tree, edge_map, tr((k, k))
+    return piece_tree, {e: tr(a) for e, a in raw_arcs.items()}, tr((k, k))
 
 
 def _branches_at_leaf(T: PlaneTree, pos: int, block) -> list:
@@ -438,21 +450,6 @@ def _branches_at_leaf(T: PlaneTree, pos: int, block) -> list:
     return rest[-1:] + rest[:-1]
 
 
-def _join_pieces(pieces, edge_maps, new_ids, groups) -> list:
-    """Wedge-expression order of the cut pieces' edges as (piece, edge) pairs:
-    the new edges first, E_1 ^ E_2 ^ ... ^ X_1 ^ X_2 ^ ... ('newfirst').
-    A single-edge piece whose lone edge realizes an inherited edge
-    contributes no separate new-edge factor.
-    """
-    mapped, inserts = [], []
-    for i, (pt, mp, ne, grp) in enumerate(zip(pieces, edge_maps, new_ids, groups)):
-        block = [(i, mp[e]) for e in grp]
-        mapped.append(block)
-        inserts.append(None if len(block) == len(pt.edges()) else (i, ne))
-    ins = [x for x in inserts if x is not None]
-    return ins + [e for block in mapped for e in block]
-
-
 # relative signs of the cut differentials; pinned by the d^2 = 0 and
 # intertwining tests
 _S_SIGN = -1
@@ -462,53 +459,52 @@ _DELTA_SIGN = -1
 def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
                             s_letters, out):
     T = trees[a]
-    edges_before = sum(len(t.edges()) for t in trees[:a])
     L = T.edges()
     npos = T.n + 1
+    head = [(ci, e) for ci in range(a) for e in trees[ci].edges()]
+    casimir = [((alpha, alpha_vee), dsign) for alpha, dsign, alpha_vee in basis.pairs]
 
-    def assemble(pieces, flat_expr, coeff):
-        """Splice the pieces into the forest at slot `a` and emit the term;
-        sign = parity of (expression order -> canonical order).  flat_expr
-        lists the piece edges as (piece_index, edge)."""
-        comp, expr, canon = [], [], []
-        for ci, t in enumerate(trees):
-            if ci == a:
-                base = len(comp)
-                for pt in pieces:
-                    idx = len(comp)
-                    comp.append(pt)
-                    canon.extend((idx, e) for e in pt.edges())
-                expr.extend((base + pi, e) for pi, e in flat_expr)
-            else:
-                idx = len(comp)
-                comp.append(t)
-                expr.extend((idx, e) for e in t.edges())
-                canon.extend((idx, e) for e in t.edges())
-        f = OrientedForest(comp)
-        add_into(out, f.trees, coeff * _perm_parity(expr, canon) * f.sign)
+    def emit(pieces, piece_expr, coeff):
+        """Splice the pieces into the forest at slot `a` and emit the term,
+        signed by the expression wedge `piece_expr` of (piece, edge) pairs."""
+        comp = trees[:a] + tuple(pieces) + trees[a + 1:]
+        tail = [(ci, e) for ci in range(a + len(pieces), len(comp))
+                for e in comp[ci].edges()]
+        f = OrientedForest(comp, 1, edge_order=head + [
+            (a + pi, e) for pi, e in piece_expr] + tail)
+        add_into(out, f.trees, coeff * f.sign)
+
+    def cut(edge, rest, branches, closings, coeff):
+        """Cut T into one piece per branch, each closed by a new leaf, once
+        per (letters, sign) in `closings`.  Wedge order 'newfirst': the new
+        edges, then each piece's surviving edges in turn; a single-edge piece
+        whose lone edge realizes an inherited edge adds no new edge."""
+        arcs = [_branch_arcs(T, br) for br in branches]
+        groups = [[e for e in m if e != edge] for m in arcs]
+        coeff *= _perm_parity(rest, [e for g in groups for e in g])
+        for letters, sign in closings:
+            pieces, new, old = [], [], []
+            for i, (br, x, m, g) in enumerate(zip(branches, letters, arcs, groups)):
+                pt, mp, ne = _piece(T, br, x, m)
+                pieces.append(pt)
+                if len(g) < len(pt.edges()):
+                    new.append((i, ne))
+                old.extend((i, mp[e]) for e in g)
+            emit(pieces, new + old, sign * coeff)
 
     for epos, edge in enumerate(L):
-        g_par = -1 if (edges_before + epos) % 2 else 1
+        g_par = -1 if (len(head) + epos) % 2 else 1
         rest = [e for e in L if e != edge]
 
         # (i) contraction of internal edges
         if edge[0] == "int":
             arcs = [iv for iv in T.intervals if iv != edge[1]]
             t_new, tr = PlaneTree.from_raw(T.letters(), arcs)
-            emap = {e: tr(T.edge_arc(e)) for e in rest}
-            assemble([t_new], [(0, emap[e]) for e in rest], _DELTA_SIGN * g_par)
+            emit([t_new], [(0, tr(T.edge_arc(e))) for e in rest], _DELTA_SIGN * g_par)
 
         # (ii) Casimir cut of every edge
-        side1 = T.edge_arc(edge)
-        side2 = _complement(side1, npos)
-        groups = [[e for e in rest if _edge_in(T, e, side1)],
-                  [e for e in rest if _edge_in(T, e, side2)]]
-        p_group = _perm_parity(rest, groups[0] + groups[1]) if rest else 1
-        for alpha, dsign, alpha_vee in basis.pairs:
-            p1, m1, ne1 = _piece(T, side1, alpha)
-            p2, m2, ne2 = _piece(T, side2, alpha_vee)
-            flat = _join_pieces([p1, p2], [m1, m2], [ne1, ne2], groups)
-            assemble([p1, p2], flat, dsign * g_par * p_group)
+        side = T.edge_arc(edge)
+        cut(edge, rest, [side, _complement(side, npos)], casimir, g_par)
 
         # (iii) removal of S-decorated leaves
         if edge[0] == "leaf" and T.n > 1:
@@ -516,22 +512,8 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
             if letter.kind != "s" or letter not in s_letters:
                 continue
             branches = _branches_at_leaf(T, edge[1], T._parent[epos])
-            groups = [[e for e in rest if _edge_in(T, e, br)] for br in branches]
-            p_group = _perm_parity(rest, [e for g in groups for e in g]) if rest else 1
-            pieces, maps, news = [], [], []
-            for br in branches:
-                pt, mp, ne = _piece(T, br, letter)
-                pieces.append(pt)
-                maps.append(mp)
-                news.append(ne)
-            flat = _join_pieces(pieces, maps, news, groups)
-            assemble(pieces, flat, _S_SIGN * g_par * p_group)
-
-
-def _edge_in(T: PlaneTree, e, branch: tuple) -> bool:
-    npos = T.n + 1
-    side = T.edge_arc(e)
-    return _inside(side, branch, npos) or _inside(_complement(side, npos), branch, npos)
+            cut(edge, rest, branches, [((letter,) * len(branches), 1)],
+                _S_SIGN * g_par)
 
 
 def differential(v: ForestVector, basis: CasimirBasis,
@@ -741,11 +723,6 @@ def abstract_projection(v: ForestVector) -> dict:
                          if t.n > 1 else ("leaf", letters[1]._key())))
             sign *= _perm_parity(order, t.edges())
         key = tuple(sorted(keys))
-        # component reorder parity by edge blocks
-        perm = sorted(range(len(trees)), key=lambda i: keys[i])
-        flat_old = [(ci, e) for ci, t in enumerate(trees) for e in t.edges()]
-        flat_new = [(ci, e) for ci in perm for e in trees[ci].edges()]
-        if flat_old:
-            sign *= _perm_parity(flat_old, flat_new)
+        sign *= _reorder_parity(trees, sorted(range(len(trees)), key=lambda i: keys[i]))
         add_into(out, key, coeff * sign)
     return {k: c for k, c in out.items() if c}

@@ -93,6 +93,15 @@ class TestCorrelator:
         assert code == 3
         assert "infinity" in capsys.readouterr().err
 
+    def test_torus_point_at_infinity_exit_3(self, capsys):
+        code = main([
+            "correlator", "--curve", "elliptic:tau=1i", "--mu", "volume",
+            "--word", "C(s:a s:b s:c)", "--point", "a=inf",
+            "--point", "b=0.3", "--point", "c=0.5+0.2i", "--samples", "4096",
+        ])
+        assert code == 3
+        assert "'a' is at infinity" in capsys.readouterr().err
+
     def test_lone_form_edge_exit_3(self, capsys):
         # a two-letter word with a form letter: one edge, and no Green edge
         code = main([
@@ -183,6 +192,13 @@ class TestCounts:
             main(argv)
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_exit_2(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["correlator", "--word", "C(s:0 s:1 s:2)", "--seed", seed])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
     def test_one_letter_words_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ from hodgecor.exact_algebra import (
 )
 from hodgecor.tree_calculus import (
     CasimirBasis, ForestVector, OrientedForest, PlaneTree, Wedge2,
-    _branches_at_leaf, _piece, _structure, abstract_projection,
+    _branch_arcs, _branches_at_leaf, _piece, _structure, abstract_projection,
     canonical_orientation, cobracket, cobracket_squared, differential,
     enumerate_trivalent_trees, tree_sum_ext, tree_sum_map,
 )
@@ -208,7 +208,8 @@ class TestStructure:
                 other = ((side[1] + 1) % npos, (side[0] - 1) % npos)
                 for branch in (side, other):
                     wrapped += branch[0] > branch[1]
-                    got_tree, got_map, got_new = _piece(t, branch, extra)
+                    got_tree, got_map, got_new = _piece(
+                        t, branch, extra, _branch_arcs(t, branch))
                     want_tree, want_map, want_new = reference_piece(t, branch, extra)
                     assert got_tree.serialize() == want_tree.serialize()
                     assert got_map == want_map
@@ -305,6 +306,35 @@ class TestDifferential:
             for k in sorted(dv.terms, key=str)[:2]:
                 v = ForestVector({k: 1})
                 assert not differential(differential(v, BASIS), BASIS)
+
+
+class TestGenusTwo:
+    """d^2 = 0, dF = F delta and co-Jacobi with the Casimir element of a
+    genus-2 curve, on short words with p2/q2 letters."""
+
+    BASIS2 = CasimirBasis.symplectic(2)
+
+    @pytest.fixture(scope="class")
+    def words(self):
+        alphabet = S3[:2] + [ell for ell, _, _ in self.BASIS2.pairs]
+        words = random_words(12, 8, 4, alphabet)
+        assert any(ell.kind in "pq" and ell.label == 2 for w in words for ell in w)
+        return words
+
+    def test_d_squared_zero(self, words):
+        for w in words:
+            v = tree_sum_map(CyclicElement.from_word(w))
+            assert not differential(differential(v, self.BASIS2), self.BASIS2)
+
+    def test_intertwines_differential(self, words):
+        for w in words:
+            W = CyclicElement.from_word(w)
+            assert differential(tree_sum_map(W), self.BASIS2) \
+                == tree_sum_ext(cobracket(W, self.BASIS2))
+
+    def test_co_jacobi(self, words):
+        for w in words:
+            assert not cobracket_squared(CyclicElement.from_word(w), self.BASIS2)
 
 
 class TestCobracket:
