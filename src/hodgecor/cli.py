@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 identity-suite failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -25,16 +25,7 @@ from . import (
     tree_sum_ext, tree_sum_map, xi_eta,
 )
 from .exact_algebra import derivative_identity_check, shuffle_sum
-
-
-def _parse_complex(text: str) -> complex:
-    text = text.strip()
-    if text in ("inf", "oo"):
-        return INFINITY
-    value = complex(text.replace("i", "j"))
-    if not cmath.isfinite(value):
-        raise ValueError(f"expected a finite complex number, got {text!r}")
-    return value
+from .geometry import parse_point
 
 
 def _int_at_least(text: str, lowest: int, what: str) -> int:
@@ -67,11 +58,21 @@ def _word_length(text: str) -> int:
     return value
 
 
+def _out_path(text: str) -> str:
+    """argparse type of --out: a file in an existing, writable directory,
+    checked before any computation."""
+    folder = os.path.dirname(os.path.abspath(text))
+    if os.path.isdir(text) or not os.access(folder, os.W_OK):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text!r}: not a file in a writable directory")
+    return text
+
+
 def _parse_curve(text: str):
     if text == "p1":
         return RationalCurve()
     if text.startswith("elliptic:tau="):
-        return EllipticCurve(_parse_complex(text.split("=", 1)[1]))
+        return EllipticCurve(parse_point(text.split("=", 1)[1]))
     raise ValueError(f"unknown curve {text!r}")
 
 
@@ -79,7 +80,7 @@ def _parse_mu(text: str) -> GreenSpec:
     if text == "volume":
         return GreenSpec.volume()
     if text.startswith("delta:"):
-        return GreenSpec.delta(_parse_complex(text.split(":", 1)[1]))
+        return GreenSpec.delta(parse_point(text.split(":", 1)[1]))
     raise ValueError(f"unknown measure {text!r}")
 
 
@@ -95,7 +96,7 @@ def cmd_correlator(args) -> int:
     for spec in args.point or []:
         label, _, val = spec.partition("=")
         try:
-            pts[label] = _parse_complex(val)
+            pts[label] = parse_point(val)
         except ValueError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return 2
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     c.add_argument("--scheme", choices=("mc", "qmc"), default="mc")
     c.add_argument("--normalization", choices=("raw", "2pii", "star"),
                    default="2pii")
-    c.add_argument("--out")
+    c.add_argument("--out", type=_out_path)
     c.set_defaults(fn=cmd_correlator)
 
     i = sub.add_parser("identities", help="run an identity suite")
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
     r.add_argument("--table", required=True,
                    choices=("sv-polylog", "ek-convergence", "dilog-coproduct"))
     r.add_argument("--grid", type=_positive_int, default=9)
-    r.add_argument("--out")
+    r.add_argument("--out", type=_out_path)
     r.set_defaults(fn=cmd_reference)
 
     args = ap.parse_args(argv)

@@ -33,15 +33,10 @@ __all__ = ["AlphabetSpec", "Derivation", "kappa", "lie_bracket",
 
 @dataclass(frozen=True)
 class AlphabetSpec:
-    """Genus-g symplectic pairs plus marked points S* and a base label s0."""
+    """Genus-g symplectic pairs plus marked points S*."""
 
     genus: int
     s_star: tuple
-    s0: str = "0"
-
-    def __post_init__(self):
-        if self.s0 in self.s_star:
-            raise ValueError("the base label cannot sit inside S*")
 
     def s_letters(self) -> list:
         return [point(s) for s in self.s_star]
@@ -71,7 +66,6 @@ class Derivation:
     """A derivation of the free algebra given by its generator images."""
 
     images: dict
-    max_degree: int | None = None
 
     def __call__(self, target: AlgebraElement) -> AlgebraElement:
         t = {}
@@ -81,10 +75,7 @@ class Derivation:
                 if img is None or not img:
                     continue
                 for w2, c2 in img.terms.items():
-                    nw = w[:i] + w2 + w[i + 1:]
-                    if self.max_degree is not None and len(nw) > self.max_degree:
-                        continue
-                    add_into(t, nw, c * c2)
+                    add_into(t, w[:i] + w2 + w[i + 1:], c * c2)
         return AlgebraElement._from_canonical(t)
 
     def commutator_with(self, other: "Derivation", letters) -> "Derivation":
@@ -92,7 +83,7 @@ class Derivation:
         for ell in letters:
             x = AlgebraElement.gen(ell)
             out[ell] = self(other(x)) - other(self(x))
-        return Derivation(out, self.max_degree)
+        return Derivation(out)
 
     def is_zero_on(self, letters) -> bool:
         return all(not self(AlgebraElement.gen(ell)) for ell in letters)
@@ -102,8 +93,7 @@ class Derivation:
                    for ell in letters)
 
 
-def kappa(F: CyclicElement, spec: AlphabetSpec,
-          max_degree: int | None = None) -> Derivation:
+def kappa(F: CyclicElement, spec: AlphabetSpec) -> Derivation:
     """The special derivation attached to a cyclic word without constant term."""
     if any(len(w) == 0 for w in F.terms):
         raise ValueError("kappa needs a zero-constant-term input")
@@ -114,7 +104,7 @@ def kappa(F: CyclicElement, spec: AlphabetSpec,
     for i in range(1, spec.genus + 1):
         images[sympl_p(i)] = -partial_derivative(F, sympl_q(i))
         images[sympl_q(i)] = partial_derivative(F, sympl_p(i))
-    return Derivation(images, max_degree)
+    return Derivation(images)
 
 
 def lie_bracket(F: CyclicElement, G: CyclicElement, spec: AlphabetSpec) -> CyclicElement:

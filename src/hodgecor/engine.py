@@ -43,7 +43,7 @@ import numpy as np
 
 from .exact_algebra import CyclicElement, antihol_form, hol_form, point
 from .geometry import (EllipticCurve, GreenSpec, RationalCurve, is_infinity,
-                       INFINITY, levin_polylog)
+                       INFINITY, levin_polylog, parse_point)
 from .tree_calculus import PlaneTree, _perm_parity, enumerate_trivalent_trees
 
 __all__ = [
@@ -62,26 +62,18 @@ class CorrelatorRequest:
     samples: int = 1 << 18
     seed: int = 0
     scheme: str = "mc"                           # 'mc' | 'qmc'
-    batch: int = 1 << 14
     normalization: str = "2pii"                  # 'raw' | '2pii' | 'star'
-    rho: float = 0.0                             # 0 -> per-curve default
     green_constant: float = 0.0
     prune_two_form_vertices: bool = False
 
     def resolve_point(self, label: str):
         if label in self.points:
             return self.points[label]
-        txt = str(label)
-        if txt in ("inf", "oo"):
-            return INFINITY
         try:
-            value = complex(txt.replace("i", "j"))
-        except ValueError:
-            raise ValueError(f"cannot resolve point label {label!r}; "
-                             f"pass it in request.points")
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError(f"point label {label!r} is not a finite number")
-        return value
+            return parse_point(label)
+        except ValueError as exc:
+            raise ValueError(f"cannot resolve point label {label!r} ({exc}); "
+                             f"pass it in request.points") from None
 
 
 @dataclass
@@ -116,7 +108,10 @@ class _CompiledTree:
 
     `terms` lists (c_j, G_j edge, blocks) from `_slot_terms`, one per
     undifferentiated Green edge; `need` gives each Green edge's
-    (need_dx, need_dy) derivative flags.
+    (need_dx, need_dy) derivative flags.  `anchors[v]` lists the distinct
+    finite points where vertex v's Green functions blow up and `pairs` the
+    internal edges (v, w): the sampler centres its components there, and
+    `_singular_mask` rejects rows on them.
     """
 
     tree: PlaneTree
@@ -127,7 +122,7 @@ class _CompiledTree:
     terms: list
     need: dict
     sign: int
-    anchors_of_var: list
+    anchors: list
     pairs: list
     kappa_vertices: int
 
@@ -232,98 +227,73 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
 
 def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     """Build the flattened integrand template, or None if the tree's
-    integrand vanishes identically (zero-tree pruning)."""
+    integrand vanishes identically (zero-tree pruning: a vertex with two
+    equal leaf letters, or with two form letters under
+    `prune_two_form_vertices`).
+
+    One pass over the edges splits them into Green edges and form edges,
+    each form fixing its slot at its vertex, and collects each vertex's leaf
+    letters, its anchors and the internal edges.  A vertex's anchors are the
+    distinct finite points its Green functions blow up at: the decoration
+    points at the other end of its Green edges and a finite delta base.
+    Distinct labels are distinct points (`_validate_request`), so pruning
+    compares letters."""
     letters = tree.letters()
-    endpoints = tree.edge_ends()
     # internal vertices in canonical order
-    if tree.n == 1:
-        nodes = []
-    else:
-        nodes = [("root",)] + list(tree.intervals)
+    nodes = [] if tree.n == 1 else [("root",)] + list(tree.intervals)
     var_of = {("node", b): i for i, b in enumerate(nodes)}
     k = len(nodes)
+    base = req.green.base if req.green.kind == "delta" else None
+    base = [] if base is None or is_infinity(base) else [complex(base)]
 
-    def site_desc(site):
-        if site[0] == "leaf":
-            ltr = letters[site[1]]
-            if ltr.kind == "s":
-                return ("c", req.resolve_point(ltr.label))
-            return ("form", site[1])
-        return ("v", var_of[site])
-
-    greens, specials = {}, []
-    for e in tree.edges():
-        s0, s1 = endpoints[e]
-        d0, d1 = site_desc(s0), site_desc(s1)
-        if d0[0] == "form" or d1[0] == "form":
-            fpos = d0[1] if d0[0] == "form" else d1[1]
-            hostdesc = d1 if d0[0] == "form" else d0
-            ltr = letters[fpos]
-            hol = +1 if ltr.kind == "dz" else -1
-            specials.append((e, hostdesc[1], hol))
-        else:
-            greens[e] = (d0, d1)
-
-    # zero-tree pruning: a vertex carrying two leaves with equal decorations
-    vertex_leafs = {}
-    for e, (a, b) in endpoints.items():
-        if e[0] != "leaf":
+    greens, specials, fixed_slots, pairs = {}, [], [], []
+    leaf_letters = [[] for _ in range(k)]
+    anchors = [[] for _ in range(k)]
+    for e, ends in tree.edge_ends().items():
+        vs = [var_of[end] for end in ends if end[0] == "node"]
+        ltr = letters[e[1]] if e[0] == "leaf" else None
+        if ltr is not None and vs:
+            leaf_letters[vs[0]].append(ltr)
+        if ltr is not None and ltr.kind != "s":         # a form edge
+            hol = ltr.kind == "dz"
+            specials.append((e, vs[0], +1 if hol else -1))
+            fixed_slots.append(2 * vs[0] + (0 if hol else 1))
             continue
-        host = b if b[0] == "node" else a
-        vertex_leafs.setdefault(host, []).append(e[1])
-    for host, poss in vertex_leafs.items():
-        if host[0] != "node":
-            continue
-        forms = [letters[p] for p in poss if letters[p].kind in ("dz", "dzb")]
-        spoints = [req.resolve_point(letters[p].label) for p in poss
-                   if letters[p].kind == "s"]
-        if len(forms) >= 2 and (req.prune_two_form_vertices
-                                or len(set(f.kind for f in forms)) < len(forms)):
+        greens[e] = tuple(("v", var_of[end]) if end[0] == "node"
+                          else ("c", req.resolve_point(letters[end[1]].label))
+                          for end in ends)
+        if len(vs) == 2:
+            pairs.append(tuple(vs))
+        points = [complex(d[1]) for d in greens[e]
+                  if d[0] == "c" and not is_infinity(d[1])]
+        for v in vs:
+            for c in points + base:
+                if c not in anchors[v]:
+                    anchors[v].append(c)
+
+    prune_forms = req.prune_two_form_vertices
+    for here in leaf_letters:
+        forms = sum(ltr.kind != "s" for ltr in here)
+        if len(set(here)) < len(here) or (prune_forms and forms >= 2):
             return None
-        for u, v in itertools.combinations(spoints, 2):
-            if u == v or (is_infinity(u) and is_infinity(v)):
-                return None
 
-    dfs = tree.edges()
-    green_ids = [e for e in dfs if e in greens]
-    special_ids = [e for e in dfs if e not in greens]
-    order = green_ids + special_ids
-    sign = _perm_parity(order, dfs)
-
-    # kappa = internal vertices with no incident special edge
-    special_hosts = {v for (_, v, _) in specials}
-    kappa_vertices = k - len(special_hosts)
-
-    fixed_slots = []
-    spec_by_edge = {e: (v, h) for (e, v, h) in specials}
-    for e in special_ids:
-        v, h = spec_by_edge[e]
-        fixed_slots.append(2 * v + (0 if h > 0 else 1))
+    green_ids = list(greens)
+    sign = _perm_parity(green_ids + [e for e, _, _ in specials], tree.edges())
+    # kappa = internal vertices with no incident form edge
+    kappa_vertices = k - len({v for _, v, _ in specials})
     terms, need = _slot_terms(k, greens, green_ids, fixed_slots, sign,
                               req.normalization == "star")
-
-    # sampler hints
-    anchors_of_var = [[] for _ in range(k)]
-    pairs = []
-    base = req.green.base if req.green.kind == "delta" else None
-    for e, ends in greens.items():
-        cs = [d[1] for d in ends if d[0] == "c"]
-        vs = [d[1] for d in ends if d[0] == "v"]
-        for v in vs:
-            for c in cs:
-                if not is_infinity(c):
-                    anchors_of_var[v].append(complex(c))
-            if base is not None and not is_infinity(base):
-                anchors_of_var[v].append(complex(base))
-        if len(vs) == 2:
-            pairs.append((vs[0], vs[1]))
     return _CompiledTree(tree, k, greens, green_ids, specials, terms, need,
-                         sign, anchors_of_var, pairs, kappa_vertices)
+                         sign, anchors, pairs, kappa_vertices)
 
 
 # ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
+
+# mixture weight of the global component; the others share the rest equally
+_GLOB_W = 0.25
+
 
 class _Mixture:
     """Tree-aware importance mixture with antithetic polar pairs.
@@ -344,7 +314,7 @@ class _Mixture:
     `density` evaluates each factor once per call.
     """
 
-    def __init__(self, curve, comp: _CompiledTree, rho: float, glob_w: float = 0.25):
+    def __init__(self, curve, comp: _CompiledTree, rho: float):
         self.curve = curve
         self.k = comp.k
         self.rho = rho
@@ -354,7 +324,7 @@ class _Mixture:
             adj[w].add(v)
         comps = [("glob", None, None)]
         for v in range(comp.k):
-            for c in dict.fromkeys(comp.anchors_of_var[v]):
+            for c in comp.anchors[v]:
                 comps.append(("pt", v, c))
         for v, w in comp.pairs:
             comps.append(("pair", v, w))
@@ -365,7 +335,7 @@ class _Mixture:
                 if parents is None:
                     continue
                 comps.append(("chain", (root, parents), None))
-                for c in dict.fromkeys(comp.anchors_of_var[root]):
+                for c in comp.anchors[root]:
                     comps.append(("chain", (root, parents), c))
         self.comps = comps
         # keep[v, i]: component i leaves column v at its global point; it
@@ -378,8 +348,8 @@ class _Mixture:
             else:
                 keep[v, i] = False
         self._keep = keep
-        wts = np.full(len(comps), (1.0 - glob_w) / max(1, len(comps) - 1))
-        wts[0] = glob_w if len(comps) > 1 else 1.0
+        wts = np.full(len(comps), (1.0 - _GLOB_W) / max(1, len(comps) - 1))
+        wts[0] = _GLOB_W if len(comps) > 1 else 1.0
         self.wts = wts
         # Factor keys are tagged: ("g", v) the global density of column v,
         # ("c", v, c) the disk around anchor c, ("e", v, w) with v < w the
@@ -512,6 +482,12 @@ class _Mixture:
 # evaluation
 # ----------------------------------------------------------------------
 
+# rows per batch, before the at-least-8-batches rule
+_BATCH = 1 << 14
+# points closer than this (by `separation`) are one point
+_COINCIDENT = 1e-9
+
+
 def _coord(desc, pts):
     """Positions of an edge end over the rows of pts: an internal-vertex
     column, or a fixed point repeated."""
@@ -571,27 +547,23 @@ def _normalization(comp: _CompiledTree, req: CorrelatorRequest) -> complex:
             * (-1) ** (kap * (kap - 1) // 2))
 
 
-def _singular_mask(comp, req, pts):
-    """Rows within 1e-9 of a Green-function singularity."""
+def _singular_mask(comp: _CompiledTree, curve, pts):
+    """Rows with a vertex within `_COINCIDENT` of one of its anchors, or of
+    the vertex at the other end of one of its internal edges: the rows on a
+    Green-function singularity."""
     bad = np.zeros(pts.shape[0], dtype=bool)
-    sep = req.curve.separation
-    base = req.green.base if req.green.kind == "delta" else None
-    for e, ends in comp.greens.items():
-        if any(d[0] == "c" and is_infinity(d[1]) for d in ends):
-            continue
-        x, y = _coord(ends[0], pts), _coord(ends[1], pts)
-        bad |= sep(x - y) < 1e-9
-        if base is not None and not is_infinity(base):
-            if ends[0][0] == "v":
-                bad |= sep(x - complex(base)) < 1e-9
-            if ends[1][0] == "v":
-                bad |= sep(y - complex(base)) < 1e-9
+    for v, cs in enumerate(comp.anchors):
+        for c in cs:
+            bad |= curve.separation(pts[:, v] - c) < _COINCIDENT
+    for v, w in comp.pairs:
+        bad |= curve.separation(pts[:, v] - pts[:, w]) < _COINCIDENT
     return bad
 
 
 def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     """Batched antithetic importance sampling for one tree; returns
-    (value, stderr, n_samples, n_rejected)."""
+    (value, stderr, n_samples, n_rejected, stable), stable being the
+    variance-stabilization flag."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
@@ -599,10 +571,9 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
         y = np.full(1, complex(ends[1][1]))
         g, _, _ = req.curve.green(req.green, x, y, req.green_constant)
         return complex(comp.sign * g[0]), 0.0, 0, 0, True
-    rho = req.rho or req.curve.default_rho
-    mix = _Mixture(req.curve, comp, rho)
+    mix = _Mixture(req.curve, comp, req.curve.default_rho)
     # at least 8 batches so the batch-mean spread is a usable error estimate
-    batch = max(1024, min(req.batch, req.samples // 8))
+    batch = max(1024, min(_BATCH, req.samples // 8))
     if req.scheme == "qmc":
         # Sobol points keep their balance only in power-of-two blocks
         batch = 1 << (batch - 1).bit_length()
@@ -619,9 +590,10 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
             sobol = qmc.Sobol(d=mix.uniform_dim(), scramble=True, seed=rng)
             A, B = mix.build(sobol.random(batch))
         else:
-            A, B = mix.draw(rng, batch)
+            A, B = mix.build(rng.random((batch, mix.uniform_dim())))
         for _ in range(8):
-            bad = _singular_mask(comp, req, A) | _singular_mask(comp, req, B)
+            bad = (_singular_mask(comp, req.curve, A)
+                   | _singular_mask(comp, req.curve, B))
             nb = int(bad.sum())
             if nb == 0:
                 break
@@ -643,15 +615,23 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
 
 
 def _validate_request(req: CorrelatorRequest):
-    req.curve.check_measure(req.green)
+    curve = req.curve
+    curve.check_measure(req.green)
 
     def same(a, b) -> bool:
         """Equal points of the curve (on a torus, equal up to a period), at
         the threshold `_singular_mask` uses; two infinities are equal."""
         if is_infinity(a) or is_infinity(b):
             return is_infinity(a) and is_infinity(b)
-        return req.curve.separation(complex(a) - complex(b)) < 1e-9
+        return curve.separation(complex(a) - complex(b)) < _COINCIDENT
 
+    for ell in req.word.letters():
+        if ell.kind in ("p", "q"):
+            raise ValueError(f"letter {ell} is a symplectic generator, which "
+                             f"a correlator cannot integrate")
+        if ell.kind != "s" and not 1 <= ell.label <= curve.genus:
+            raise ValueError(f"form letter {ell} is not a 1-form of "
+                             f"{curve.label}, which has genus {curve.genus}")
     for cw in req.word.terms:
         if len(cw.rep) == 2:
             if any(ell.kind != "s" for ell in cw.rep):
@@ -663,7 +643,7 @@ def _validate_request(req: CorrelatorRequest):
     labels = {ell.label for ell in req.word.letters() if ell.kind == "s"}
     items = [(lab, req.resolve_point(lab)) for lab in labels]
     for lab, val in items:
-        if is_infinity(val) and not req.curve.has_infinity:
+        if is_infinity(val) and not curve.has_infinity:
             raise ValueError(f"decoration point {lab!r} is at infinity, "
                              f"which exists only on P^1")
     for i in range(len(items)):

@@ -200,21 +200,9 @@ class AlgebraElement(LinearCombination):
         return " + ".join(bits)
 
     # -- structure maps -----------------------------------------------
-    def letters(self) -> set:
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return out
-
     def is_homogeneous(self) -> bool:
         degs = {len(w) for w in self.terms}
         return len(degs) <= 1
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        (d,) = {len(w) for w in self.terms}
-        return d
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return concat(self, other) - concat(other, self)

@@ -38,7 +38,7 @@ __all__ = [
     "green", "green_arakelov_decomposition", "polylog", "single_valued_polylog",
     "levin_polylog", "cross_ratio", "eisenstein_kronecker",
     "ek_correlator_value", "ek_generating_series", "bernoulli_beta",
-    "is_infinity",
+    "is_infinity", "parse_point",
 ]
 
 INFINITY = complex("inf")
@@ -50,6 +50,19 @@ def is_infinity(z) -> bool:
             or math.isinf(complex(z).imag)
     except TypeError:
         return False
+
+
+def parse_point(text: str) -> complex:
+    """A point of the curve written as text: `inf` or `oo` for the point at
+    infinity, else a finite complex number with `i` or `j` as the imaginary
+    unit.  Raises ValueError otherwise."""
+    text = str(text).strip()
+    if text in ("inf", "oo"):
+        return INFINITY
+    value = complex(text.replace("i", "j"))
+    if not cmath.isfinite(value):
+        raise ValueError(f"expected a finite complex number, got {text!r}")
+    return value
 
 
 def _richardson(regulators, values):
@@ -69,10 +82,11 @@ class RationalCurve:
     """The projective line in the affine coordinate z (INFINITY allowed as a
     decoration or base point).  Like `EllipticCurve`, it supplies every law
     the engine uses that depends on the curve: `green`, `separation`,
-    `global_point`/`global_density`, `default_rho`, `label`, `has_infinity`
-    and `check_measure`."""
+    `global_point`/`global_density`, `default_rho`, `label`, `genus`,
+    `has_infinity` and `check_measure`."""
 
     label = "p1"
+    genus = 0           # no holomorphic 1-forms
     has_infinity = True
     default_rho = 0.8   # radius of the polar mixture components
 
@@ -136,6 +150,7 @@ class EllipticCurve:
     `RationalCurve`."""
 
     tau: complex
+    genus = 1           # one holomorphic 1-form, dz
     has_infinity = False
 
     def __post_init__(self):

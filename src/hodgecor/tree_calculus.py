@@ -63,9 +63,6 @@ class CasimirBasis:
             pairs.append((sympl_q(i), -1, sympl_p(i)))  # dual(q_i) = -p_i
         return CasimirBasis(tuple(pairs))
 
-    def h_letters(self) -> set:
-        return {a for a, _, _ in self.pairs}
-
 
 # ----------------------------------------------------------------------
 # geometry helpers; an arc is a cyclic interval (start, end), inclusive,
@@ -297,9 +294,6 @@ class OrientedForest:
         self.trees = tuple(trees[i] for i in perm)
         self.sign = sign
 
-    def degree(self) -> int:
-        return sum(t.degree() for t in self.trees)
-
     def is_null(self) -> bool:
         return _null_forest(self.trees)
 
@@ -456,8 +450,7 @@ _S_SIGN = -1
 _DELTA_SIGN = -1
 
 
-def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
-                            s_letters, out):
+def _differential_component(trees: tuple, a: int, basis: CasimirBasis, out):
     T = trees[a]
     L = T.edges()
     npos = T.n + 1
@@ -509,28 +502,25 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis,
         # (iii) removal of S-decorated leaves
         if edge[0] == "leaf" and T.n > 1:
             letter = T.letters()[edge[1]]
-            if letter.kind != "s" or letter not in s_letters:
+            if letter.kind != "s":
                 continue
             branches = _branches_at_leaf(T, edge[1], T._parent[epos])
             cut(edge, rest, branches, [((letter,) * len(branches), 1)],
                 _S_SIGN * g_par)
 
 
-def differential(v: ForestVector, basis: CasimirBasis,
-                 s_letters: set | None = None) -> ForestVector:
-    """The degree +1 differential d = d_contract + d_Casimir + d_S.
+def differential(v: ForestVector, basis: CasimirBasis) -> ForestVector:
+    """The degree +1 differential d = d_contract + d_Casimir + d_S, d_S
+    splitting at every point letter.
 
-    s_letters defaults to every point-type letter in the forest.  All signs
-    are permutation parities between canonical edge orders; see the module
-    docstring for the cutting conventions.
+    All signs are permutation parities between canonical edge orders; see
+    the module docstring for the cutting conventions.
     """
     total = {}
     for trees, coeff in v.terms.items():
-        sl = s_letters if s_letters is not None else \
-            {x for t in trees for x in t.letters() if x.kind == "s"}
         local = {}
         for a in range(len(trees)):
-            _differential_component(trees, a, basis, sl, local)
+            _differential_component(trees, a, basis, local)
         for k, val in local.items():
             add_into(total, k, coeff * val)
     return ForestVector(total)
@@ -562,7 +552,7 @@ class Wedge2(LinearCombination):
                           for (x, y), c in sorted(self.terms.items(), key=str))
 
 
-def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters, c, acc: dict):
+def _cobracket_word(w: CyclicWord, basis: CasimirBasis, c, acc: dict):
     """acc += c * delta(w), in place, keyed by the ordered pairs (x, y) of
     x ^ y as cut; `Wedge2` puts the keys in order."""
     rep = w.rep
@@ -578,7 +568,7 @@ def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters, c, acc: dict)
     # S part: cut at an S letter and a non-adjacent arc; the letter is copied
     # into both pieces and the piece ending at the S-cut goes first
     for t0 in range(n1):
-        if rep[t0].kind != "s" or rep[t0] not in s_letters:
+        if rep[t0].kind != "s":
             continue
         for g in range(n1):
             if g == t0 or (g + 1) % n1 == t0:
@@ -590,18 +580,16 @@ def _cobracket_word(w: CyclicWord, basis: CasimirBasis, s_letters, c, acc: dict)
             add_into(acc, (CyclicWord(first), CyclicWord(second)), c)
 
 
-def cobracket(w: CyclicElement, basis: CasimirBasis,
-              s_letters: set | None = None) -> Wedge2:
-    """delta = delta_Casimir + delta_S on cyclic words."""
+def cobracket(w: CyclicElement, basis: CasimirBasis) -> Wedge2:
+    """delta = delta_Casimir + delta_S on cyclic words, delta_S cutting at
+    every point letter."""
     acc = {}
     for cw, c in w.terms.items():
-        sl = s_letters if s_letters is not None else {x for x in cw.rep if x.kind == "s"}
-        _cobracket_word(cw, basis, sl, c, acc)
+        _cobracket_word(cw, basis, c, acc)
     return Wedge2(acc)
 
 
-def cobracket_squared(w: CyclicElement, basis: CasimirBasis,
-                      s_letters: set | None = None) -> dict:
+def cobracket_squared(w: CyclicElement, basis: CasimirBasis) -> dict:
     """Chevalley extension of delta applied to delta(w); empty iff zero
     (co-Jacobi)."""
     out = {}
@@ -619,12 +607,12 @@ def cobracket_squared(w: CyclicElement, basis: CasimirBasis,
         add_into(out, (a, b, c), coeff)
 
     deltas = {}   # delta of each word, computed once per call
-    for (a, b), c in cobracket(w, basis, s_letters).terms.items():
+    for (a, b), c in cobracket(w, basis).terms.items():
         for elem, other, c0 in ((a, b, c), (b, a, -c)):
             da = deltas.get(elem)
             if da is None:
                 da = deltas[elem] = cobracket(
-                    CyclicElement._from_canonical({elem: Fraction(1)}), basis, s_letters)
+                    CyclicElement._from_canonical({elem: Fraction(1)}), basis)
             for (u, v), cc in da.terms.items():
                 add3(u, v, other, c0 * cc)
     return {k: v for k, v in out.items() if v}

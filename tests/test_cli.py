@@ -112,6 +112,24 @@ class TestCorrelator:
         err = capsys.readouterr().err
         assert "no Green edge" in err and "unpack" not in err
 
+    @pytest.mark.parametrize("argv, why", [
+        (["--curve", "elliptic:tau=1i", "--mu", "volume",
+          "--word", "C(s:a p1 s:b)"], "symplectic generator"),
+        (["--curve", "elliptic:tau=1i", "--mu", "volume",
+          "--word", "C(s:a q1 s:b)"], "symplectic generator"),
+        (["--curve", "elliptic:tau=1i", "--mu", "volume",
+          "--word", "C(s:a dz2 s:b)"], "genus 1"),
+        (["--curve", "p1", "--mu", "delta:2.5-1i",
+          "--word", "C(s:inf dz1 dzb1)"], "genus 0"),
+    ], ids=("torus-p1", "torus-q1", "torus-dz2", "p1-forms"))
+    def test_letter_the_curve_cannot_integrate_exit_3(self, argv, why, capsys):
+        # p/q letters used to be read as dz-bar forms, the form index was
+        # ignored, and P^1 has no holomorphic 1-forms at all
+        code = main(["correlator", *argv, "--point", "a=0.1",
+                     "--point", "b=0.4+0.3i", "--samples", "4096"])
+        assert code == 3
+        assert why in capsys.readouterr().err
+
     def test_torus_point_on_base_up_to_a_period_exit_3(self, capsys):
         code = main([
             "correlator", "--curve", "elliptic:tau=1i", "--mu", "delta:0.5",
@@ -154,6 +172,15 @@ class TestCorrelator:
         assert np.isfinite(payload["stderr"])
         assert abs(val) <= 4 * payload["stderr"]
         assert code == 4
+
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        # rejected by the parser, before any sampling
+        with pytest.raises(SystemExit) as exc:
+            main(["correlator", "--word", "C(s:0 s:1 s:2)",
+                  "--out", str(tmp_path / "no" / "x.json")])
+        assert exc.value.code == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestIdentities:
@@ -219,6 +246,13 @@ class TestReference:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "re,im,L2"
         assert len(lines) > 5
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reference", "--table", "sv-polylog",
+                  "--out", str(tmp_path / "no" / "x.csv")])
+        assert exc.value.code == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_ek_convergence_csv(self, tmp_path):
         out = tmp_path / "ek.csv"

@@ -52,12 +52,6 @@ class TestKappa:
         k = kappa(CyclicElement.from_word([XA]), SPEC0)
         assert k(AlgebraElement.gen(XA)) == AlgebraElement.zero()
 
-    def test_truncation(self):
-        F = CyclicElement.from_word([XA, XB, XA])
-        k = kappa(F, SPEC0, max_degree=2)
-        img = k(AlgebraElement.from_word([XA, XB]))
-        assert all(len(w) <= 2 for w in img.terms)
-
 
 class TestBracket:
     def test_antisymmetry(self):

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from hodgecor.engine import (
-    CorrelatorRequest, _Mixture, compile_tree, correlate, cyclic_polylog_series,
-    elliptic_correlator, integrand, levin_reference, multiple_green,
-    symmetric_form_word,
+    CorrelatorRequest, _Mixture, _singular_mask, compile_tree, correlate,
+    cyclic_polylog_series, elliptic_correlator, integrand, levin_reference,
+    multiple_green, symmetric_form_word,
 )
 from hodgecor.exact_algebra import CyclicElement, antihol_form, hol_form, point
 from hodgecor.form_calculus import omega_terms
 from hodgecor.geometry import (
     INFINITY, EllipticCurve, GreenSpec, RationalCurve, cross_ratio,
-    ek_correlator_value, green, single_valued_polylog,
+    ek_correlator_value, green, is_infinity, single_valued_polylog,
 )
 from hodgecor.tree_calculus import _perm_parity, enumerate_trivalent_trees
 
@@ -102,7 +102,7 @@ class TestEngineContracts:
     def test_qmc_odd_batch_raises_no_balance_warning(self):
         word = CyclicElement.from_word([point("a"), point("b"), point("c")])
         req = CorrelatorRequest(P1, DINF, word, {"a": 0.0, "b": 1.0, "c": Z},
-                                samples=1 << 14, seed=9, scheme="qmc", batch=1500)
+                                samples=12000, seed=9, scheme="qmc")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = correlate(req)
@@ -514,7 +514,7 @@ def _reference_density(mix, pts):
 
 def _mixtures(req):
     """(label, compiled tree, mixture) for every unpruned tree of the word."""
-    rho = req.rho or req.curve.default_rho
+    rho = req.curve.default_rho
     for cw in req.word.terms:
         for i, forest in enumerate(enumerate_trivalent_trees(cw)):
             (tree,) = forest.trees
@@ -607,3 +607,77 @@ def test_mixture_density_normalises(req):
         assert ratio.max() <= 4 + 1e-12
         se = ratio.std() / math.sqrt(len(ratio))
         assert abs(ratio.mean() - 1) < 4 * se
+
+
+def _mask_cases():
+    word, labels = _p1_points_word(5)                       # k = 3
+    yield "p1-finite-base", CorrelatorRequest(
+        P1, GreenSpec.delta(2.5 - 1j), word, labels), (0,)
+    word = CyclicElement.from_word([point(x) for x in "oizw"])
+    yield "p1-point-at-infinity", CorrelatorRequest(
+        P1, GreenSpec.delta(2.0), word,
+        {"o": 0.0, "i": INFINITY, "z": Z, "w": 1.4 + 0.6j}), (0,)
+    word = CyclicElement.from_word([point(x) for x in "oabc"])
+    labels = {"o": 0.0, "a": 0.21 + 0.33j, "b": 0.55 + 0.62j, "c": 0.8 + 0.1j}
+    periods = (1, SKEW.tau, -1 - SKEW.tau)
+    yield "torus-volume", CorrelatorRequest(
+        SKEW, GreenSpec.volume(), word, labels), periods
+    yield "torus-delta", CorrelatorRequest(
+        SKEW, GreenSpec.delta(0.4 + 0.9j), word, labels), periods
+
+
+@pytest.mark.parametrize("req, periods", [c[1:] for c in _mask_cases()],
+                         ids=[c[0] for c in _mask_cases()])
+def test_singular_mask_flags_exactly_the_planted_rows(req, periods):
+    """Rows with a vertex within 1e-9 of a decoration point at the other end
+    of one of its Green edges, of a finite delta base, or of the vertex at
+    the other end of an internal edge, each shifted by lattice periods on a
+    torus, are flagged; mixture draws and rows 3e-9 away are not."""
+    base = req.green.base if req.green.kind == "delta" else None
+    checked = 0
+    for i, comp, mix in _mixtures(req):
+        A, _ = mix.draw(np.random.default_rng([43, i, comp.k]), 256)
+        planted = np.zeros(len(A), dtype=bool)
+        rows = iter(range(len(A)))
+
+        def plant(v, target, hit=True):
+            for shift in periods:
+                r = next(rows)
+                off = (4e-10 if hit else 3e-9) * np.exp(2j * np.pi * r / 7)
+                A[r, v] = target(r) + shift + off
+                planted[r] = hit
+
+        for e, ends in comp.greens.items():
+            for (kv, v), (kc, c) in (ends, ends[::-1]):
+                if kv == "v" and kc == "c" and not is_infinity(c):
+                    plant(v, lambda r: complex(c))
+                    plant(v, lambda r: complex(c), hit=False)
+            if base is not None and not is_infinity(base):
+                for kv, v in ends:
+                    if kv == "v":
+                        plant(v, lambda r: complex(base))
+            if ends[0][0] == ends[1][0] == "v":
+                v, w = ends[0][1], ends[1][1]
+                plant(v, lambda r: A[r, w])
+                plant(w, lambda r: A[r, v], hit=False)
+        assert planted.any() and not planted.all()
+        assert np.array_equal(_singular_mask(comp, req.curve, A), planted)
+        checked += 1
+    assert checked
+
+
+def test_rows_on_a_singularity_are_redrawn(monkeypatch):
+    """A batch row put on a decoration point is redrawn and counted, and the
+    estimate stays finite."""
+    build = _Mixture.build
+
+    def planted(self, U):
+        A, B = build(self, U)
+        if len(U) > 1:                    # full batches, not the redraws
+            A[0, 0] = 0.0
+        return A, B
+
+    monkeypatch.setattr(_Mixture, "build", planted)
+    res = multiple_green(P1, DINF, [0.0, 1.0, Z], samples=1 << 13, seed=1)
+    assert res.rejected == 8              # one row in each of the 8 batches
+    assert np.isfinite(res.value) and np.isfinite(res.stderr)

@@ -258,7 +258,7 @@ class TestDifferential:
 
     def test_tripod_s_cut_fixture(self):
         v = tree_sum_map(CyclicElement.from_word(S3))
-        dv = differential(v, BASIS, s_letters=set(S3))
+        dv = differential(v, BASIS)
         rendered = sorted(
             f"{c}*" + "|".join(t.serialize() for t in k)
             for k, c in dv.terms.items())
