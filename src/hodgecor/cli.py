@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 identity-suite failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -59,13 +60,23 @@ def _word_length(text: str) -> int:
 
 
 def _out_path(text: str) -> str:
-    """argparse type of --out: a file in an existing, writable directory,
-    checked before any computation."""
+    """argparse type of --out: `-` for standard output, or a file in an
+    existing, writable directory, checked before any computation."""
     folder = os.path.dirname(os.path.abspath(text))
-    if os.path.isdir(text) or not os.access(folder, os.W_OK):
+    if text != "-" and (os.path.isdir(text) or not os.access(folder, os.W_OK)):
         raise argparse.ArgumentTypeError(
             f"cannot write {text!r}: not a file in a writable directory")
     return text
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The file at the --out path, or standard output if unset or `-`."""
+    if path in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _parse_curve(text: str):
@@ -89,17 +100,11 @@ def cmd_correlator(args) -> int:
         curve = _parse_curve(args.curve)
         mu = _parse_mu(args.mu)
         word = parse_element(args.word)
+        pts = {label: parse_point(val) for label, _, val in
+               (spec.partition("=") for spec in args.point or [])}
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    pts = {}
-    for spec in args.point or []:
-        label, _, val = spec.partition("=")
-        try:
-            pts[label] = parse_point(val)
-        except ValueError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return 2
     req = CorrelatorRequest(curve=curve, green=mu, word=word, points=pts,
                             samples=args.samples, seed=args.seed,
                             scheme=args.scheme,
@@ -116,12 +121,8 @@ def cmd_correlator(args) -> int:
         "normalization": args.normalization,
         "points": {k: str(v) for k, v in pts.items()},
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     if res.stderr > 0.5 * abs(res.value) and abs(res.value) > 0:
         print("warning: variance has not stabilized", file=sys.stderr)
         return 4
@@ -241,12 +242,8 @@ def _suite_numeric(args, report) -> bool:
 
 
 def cmd_identities(args) -> int:
-    failures = []
-
     def report(name, ok, note=""):
         print(f"[{'PASS' if ok else 'FAIL'}] {name:24s} {note}")
-        if not ok:
-            failures.append(name)
 
     suites = {
         "algebra": _suite_algebra,
@@ -255,9 +252,6 @@ def cmd_identities(args) -> int:
         "forms": _suite_forms,
         "numeric": _suite_numeric,
     }
-    if args.suite not in suites:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
     ok = suites[args.suite](args, report)
     return 0 if ok else 1
 
@@ -290,15 +284,10 @@ def cmd_reference(args) -> int:
     else:
         print(f"unknown table {args.table!r}", file=sys.stderr)
         return 2
-    out = args.out or "-"
-    fh = sys.stdout if out == "-" else open(out, "w", newline="")
-    try:
+    with _output(args.out) as fh:
         w = csv.DictWriter(fh, fieldnames=header)
         w.writeheader()
         w.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -318,7 +307,7 @@ def main(argv=None) -> int:
     c.add_argument("--scheme", choices=("mc", "qmc"), default="mc")
     c.add_argument("--normalization", choices=("raw", "2pii", "star"),
                    default="2pii")
-    c.add_argument("--out", type=_out_path)
+    c.add_argument("--out", type=_out_path, help="file, or - for stdout")
     c.set_defaults(fn=cmd_correlator)
 
     i = sub.add_parser("identities", help="run an identity suite")
@@ -335,7 +324,7 @@ def main(argv=None) -> int:
     r.add_argument("--table", required=True,
                    choices=("sv-polylog", "ek-convergence", "dilog-coproduct"))
     r.add_argument("--grid", type=_positive_int, default=9)
-    r.add_argument("--out", type=_out_path)
+    r.add_argument("--out", type=_out_path, help="file, or - for stdout")
     r.set_defaults(fn=cmd_reference)
 
     args = ap.parse_args(argv)

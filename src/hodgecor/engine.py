@@ -63,8 +63,6 @@ class CorrelatorRequest:
     seed: int = 0
     scheme: str = "mc"                           # 'mc' | 'qmc'
     normalization: str = "2pii"                  # 'raw' | '2pii' | 'star'
-    green_constant: float = 0.0
-    prune_two_form_vertices: bool = False
 
     def resolve_point(self, label: str):
         if label in self.points:
@@ -227,9 +225,12 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
 
 def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     """Build the flattened integrand template, or None if the tree's
-    integrand vanishes identically (zero-tree pruning: a vertex with two
-    equal leaf letters, or with two form letters under
-    `prune_two_form_vertices`).
+    integral vanishes: a vertex with two equal leaf letters, or, under the
+    volume measure, a vertex with two form letters.  The one Green edge of
+    such a vertex x is G_j or differentiated only at its other end y, so
+    integrating over x first gives the zero-mean g's integral against the
+    volume form (or its y-derivative): 0.  Under a delta measure at a it
+    is -Im tau g(a - y), and no such tree is dropped.
 
     One pass over the edges splits them into Green edges and form edges,
     each form fixing its slot at its vertex, and collects each vertex's leaf
@@ -271,7 +272,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
                 if c not in anchors[v]:
                     anchors[v].append(c)
 
-    prune_forms = req.prune_two_form_vertices
+    prune_forms = req.green.kind == "volume"
     for here in leaf_letters:
         forms = sum(ltr.kind != "s" for ltr in here)
         if len(set(here)) < len(here) or (prune_forms and forms >= 2):
@@ -520,8 +521,7 @@ def integrand(comp: _CompiledTree, req: CorrelatorRequest, pts: np.ndarray):
     for e, ends in comp.greens.items():
         x, y = _coord(ends[0], pts), _coord(ends[1], pts)
         vx, vy = comp.need[e]
-        gval[e], dx, dy = req.curve.green(req.green, x, y,
-                                          req.green_constant, vx, vy)
+        gval[e], dx, dy = req.curve.green(req.green, x, y, vx, vy)
         if vx:
             der[e, ends[0][1]] = dx
         if vy:
@@ -562,15 +562,14 @@ def _singular_mask(comp: _CompiledTree, curve, pts):
 
 def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     """Batched antithetic importance sampling for one tree; returns
-    (value, stderr, n_samples, n_rejected, stable), stable being the
-    variance-stabilization flag."""
+    (value, stderr, n_samples, n_rejected)."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
         x = np.full(1, complex(ends[0][1]))
         y = np.full(1, complex(ends[1][1]))
-        g, _, _ = req.curve.green(req.green, x, y, req.green_constant)
-        return complex(comp.sign * g[0]), 0.0, 0, 0, True
+        g, _, _ = req.curve.green(req.green, x, y)
+        return complex(comp.sign * g[0]), 0.0, 0, 0
     mix = _Mixture(req.curve, comp, req.curve.default_rho)
     # at least 8 batches so the batch-mean spread is a usable error estimate
     batch = max(1024, min(_BATCH, req.samples // 8))
@@ -605,13 +604,7 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
         means[b] = w.mean()
     value = complex(np.mean(means))
     se = float(np.sqrt((np.var(means.real) + np.var(means.imag)) / nbatches))
-    # variance-stabilization heuristic: the two halves of the batch stream
-    # should estimate compatible spreads
-    half = nbatches // 2
-    s1 = np.var(means.real[:half]) + np.var(means.imag[:half])
-    s2 = np.var(means.real[half:]) + np.var(means.imag[half:])
-    stable = bool(max(s1, s2) < 25 * max(min(s1, s2), 1e-300)) if half >= 2 else True
-    return value, se, nbatches * batch, rejected, stable
+    return value, se, nbatches * batch, rejected
 
 
 def _validate_request(req: CorrelatorRequest):
@@ -666,7 +659,6 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
     errsq = 0.0
     samples = 0
     rejected = 0
-    stabilized = True
     tree_index = 0
     for cw, coeff in sorted(req.word.terms.items(), key=lambda kv: repr(kv[0])):
         for forest in enumerate_trivalent_trees(cw):
@@ -675,7 +667,7 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
             tree_index += 1
             if comp is None:
                 continue
-            val, se, ns, rej, stab = _eval_tree_mc(comp, req, tree_index)
+            val, se, ns, rej = _eval_tree_mc(comp, req, tree_index)
             norm = _normalization(comp, req) * float(coeff) * forest.sign
             v = norm * val
             e = abs(norm) * se
@@ -684,7 +676,6 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
             errsq += e * e
             samples += ns
             rejected += rej
-            stabilized &= stab
     meta = {
         "curve": req.curve.label,
         "green": repr(req.green.mu),
@@ -693,8 +684,6 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
         "seed": req.seed,
         "scheme": req.scheme,
         "samples_requested": req.samples,
-        "green_constant": req.green_constant,
-        "variance_stabilized": stabilized,
     }
     return CorrelatorResult(total, math.sqrt(errsq), samples, per_tree,
                             rejected, meta)
@@ -774,9 +763,9 @@ def symmetric_form_word(a_labels: list, powers: list) -> CyclicElement:
 
 def elliptic_correlator(curve: EllipticCurve, word: CyclicElement,
                         points: dict, **kw) -> CorrelatorResult:
-    """Symmetric Hodge correlator on an elliptic curve: invariant-volume
-    Green function, with trees joining two form letters at a vertex pruned
-    (their contributions cancel pairwise inside symmetrized words)."""
+    """Symmetric Hodge correlator on an elliptic curve under the
+    invariant-volume Green function; a tree joining two form letters at a
+    vertex integrates to zero on its own and is dropped (`compile_tree`)."""
     req = CorrelatorRequest(curve=curve, green=GreenSpec.volume(), word=word,
-                            points=points, prune_two_form_vertices=True, **kw)
+                            points=points, **kw)
     return correlate(req)

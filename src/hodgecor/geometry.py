@@ -77,6 +77,21 @@ def _richardson(regulators, values):
 # curve models
 # ----------------------------------------------------------------------
 
+# the theta product's factor count is about _THETA_SPAN / Im tau (`_nterms`)
+_THETA_SPAN = 18 * math.log(10) / (2 * math.pi)
+_MAX_THETA_FACTORS = 1000
+
+
+def _reduced_tau(tau: complex) -> complex:
+    """The SL2(Z)-equivalent tau with |Re tau| <= 1/2 and |tau| >= 1."""
+    for _ in range(64):
+        tau -= round(tau.real)
+        if abs(tau) >= 1:
+            break
+        tau = -1 / tau
+    return tau
+
+
 @dataclass(frozen=True)
 class RationalCurve:
     """The projective line in the affine coordinate z (INFINITY allowed as a
@@ -98,10 +113,10 @@ class RationalCurve:
             raise ValueError("only the delta measure is supported on P^1")
 
     @staticmethod
-    def green(spec: GreenSpec, x, y, constant: float = 0.0,
-              need_dx: bool = False, need_dy: bool = False):
-        """(G_a(x, y) + constant, dG/dx or None, dG/dy or None) for the delta
-        measure at a; the antiholomorphic derivatives are the conjugates,
+    def green(spec: GreenSpec, x, y, need_dx: bool = False,
+              need_dy: bool = False):
+        """(G_a(x, y), dG/dx or None, dG/dy or None) for the delta measure
+        at a; the antiholomorphic derivatives are the conjugates,
         since G is real.  At a finite base, G_a(x, oo) = -log|x - a| (and
         dG/dx = -1/(2(x - a))) is the limit y -> oo."""
         a = spec.base
@@ -123,7 +138,7 @@ class RationalCurve:
                 dx = dx - 0.5 / (x - a)
             if need_dy:
                 dy = dy - 0.5 / (y - a)
-        return g + constant, dx, dy
+        return g, dx, dy
 
     @staticmethod
     def separation(d):
@@ -157,6 +172,12 @@ class EllipticCurve:
         tau = complex(self.tau)
         if tau.imag <= 0:
             raise ValueError("need Im tau > 0")
+        if _THETA_SPAN / tau.imag >= _MAX_THETA_FACTORS:
+            raise ValueError(
+                f"Im tau = {tau.imag:.3g} needs more than {_MAX_THETA_FACTORS}"
+                f" theta factors (Im tau must exceed "
+                f"{_THETA_SPAN / _MAX_THETA_FACTORS:.4g}); use an "
+                f"SL2(Z)-equivalent tau such as {_reduced_tau(tau):.6g}")
         # constants of the theta product, cached on the frozen instance
         qn = cmath.exp(2j * math.pi * tau) ** np.arange(1, self._nterms() + 1)
         log_abs_eta = -math.pi * tau.imag / 12 + float(np.log(np.abs(1 - qn)).sum())
@@ -227,7 +248,7 @@ class EllipticCurve:
         """Factors n = 1..N kept in the theta product.  On a reduced z,
         |q^n e^{+-1}| <= |q|^(n-1), so the first omitted factor differs from
         1 by about |q|^N, which N makes smaller than 1e-18."""
-        return max(6, int(18 * math.log(10) / (2 * math.pi * self.im_tau)) + 1)
+        return max(6, int(_THETA_SPAN / self.im_tau) + 1)
 
     def theta_quotient(self, z):
         """(log|theta_1(z)/eta|, theta_1'/theta_1 (z)) from one pass over the
@@ -285,21 +306,20 @@ class EllipticCurve:
         return (-2.0 * log_ratio + 2 * np.pi * im ** 2 / self.im_tau,
                 -dlog - 2j * np.pi * im / self.im_tau)
 
-    def green(self, spec: GreenSpec, x, y, constant: float = 0.0,
-              need_dx: bool = False, need_dy: bool = False):
-        """(G_mu(x, y) + constant, dG/dx or None, dG/dy or None): g(x - y)
+    def green(self, spec: GreenSpec, x, y, need_dx: bool = False,
+              need_dy: bool = False):
+        """(G_mu(x, y), dG/dx or None, dG/dy or None): g(x - y)
         for the volume measure, g(x - y) - g(x - a) - g(a - y) for the delta
         measure at a; one theta pass per Green-function argument."""
         g, gz = self.green_pair(x - y)
         if spec.kind == "volume":
-            return (g + constant, (gz if need_dx else None),
-                    (-gz if need_dy else None))
+            return g, (gz if need_dx else None), (-gz if need_dy else None)
         a = complex(spec.base)
         g_xa, gz_xa = self.green_pair(x - a)
         g_ay, gz_ay = self.green_pair(a - y)
         dx = gz - gz_xa if need_dx else None
         dy = -gz + gz_ay if need_dy else None
-        return g - g_xa - g_ay + constant, dx, dy
+        return g - g_xa - g_ay, dx, dy
 
     def green_function(self, z):
         """Zero-mean Green function g(z) of the invariant volume form."""
@@ -387,17 +407,16 @@ class GreenSpec:
         return self.mu[1]
 
 
-def green(curve: CurveModel, spec: GreenSpec, x, y, constant: float = 0.0):
+def green(curve: CurveModel, spec: GreenSpec, x, y):
     """Green function G_mu(x, y); symmetric in (x, y).
 
     The delta-measure version is normalized by a unit tangent vector at the
-    base point (vanishing specialization); `constant` shifts it, which is
-    only visible in correlators without a degree-zero divisor factor.
-    Raises ValueError for a measure the curve does not support.
+    base point (vanishing specialization).  Raises ValueError for a measure
+    the curve does not support.
     """
     curve.check_measure(spec)
     return curve.green(spec, np.asarray(x, dtype=complex),
-                       np.asarray(y, dtype=complex), constant)[0]
+                       np.asarray(y, dtype=complex))[0]
 
 
 def green_arakelov_decomposition(curve: EllipticCurve, a, x, y):

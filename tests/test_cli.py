@@ -182,6 +182,25 @@ class TestCorrelator:
         assert exc.value.code == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_out_dash_writes_standard_output(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["correlator", "--word", "C(s:0 s:1 s:0.3+0.1i)",
+                     "--samples", "4096", "--seed", "3", "--out", "-"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["request"]["word"] == "C(s:0 s:1 s:0.3+0.1i)"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tau", ("1e-300i", "1e-6i", "0.5+0.006i"))
+    def test_tau_too_close_to_the_real_axis_exit_2(self, tau, capsys):
+        code = main(["correlator", "--curve", f"elliptic:tau={tau}",
+                     "--mu", "volume", "--word", "C(s:0 s:0.2 s:0.4)",
+                     "--samples", "4096"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1000 theta factors" in err and "SL2(Z)-equivalent tau" in err
+
 
 class TestIdentities:
     def test_forms_suite(self, capsys):

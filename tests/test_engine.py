@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from hodgecor.engine import (
-    CorrelatorRequest, _Mixture, _singular_mask, compile_tree, correlate,
-    cyclic_polylog_series, elliptic_correlator, integrand, levin_reference,
-    multiple_green, symmetric_form_word,
+    CorrelatorRequest, _eval_tree_mc, _Mixture, _singular_mask, compile_tree,
+    correlate, cyclic_polylog_series, elliptic_correlator, integrand,
+    levin_reference, multiple_green, symmetric_form_word,
 )
 from hodgecor.exact_algebra import CyclicElement, antihol_form, hol_form, point
 from hodgecor.form_calculus import omega_terms
@@ -148,15 +148,23 @@ class TestShuffleDihedral:
         assert abs(r1.value - r2.value) < 3 * math.hypot(r1.stderr, r2.stderr)
 
 
+class ShiftedLine(RationalCurve):
+    """P^1 with every Green function shifted by the constant 1."""
+
+    @staticmethod
+    def green(spec, x, y, need_dx=False, need_dy=False):
+        g, dx, dy = RationalCurve.green(spec, x, y, need_dx, need_dy)
+        return g + 1.0, dx, dy
+
+
 class TestConstantIndependence:
     def test_degree_zero_divisor(self):
         labels = {"a": 0.0, "b": 1.0, "c": 0.4 + 0.3j, "d": -0.8 + 0.6j}
         w = (CyclicElement.from_word([point("a"), point("c"), point("d")])
              - CyclicElement.from_word([point("b"), point("c"), point("d")]))
-        kw = dict(curve=P1, green=DINF, word=w, points=labels,
-                  samples=1 << 16)
-        r0 = correlate(CorrelatorRequest(seed=21, **kw))
-        r1 = correlate(CorrelatorRequest(seed=22, green_constant=1.0, **kw))
+        kw = dict(green=DINF, word=w, points=labels, samples=1 << 16)
+        r0 = correlate(CorrelatorRequest(P1, seed=21, **kw))
+        r1 = correlate(CorrelatorRequest(ShiftedLine(), seed=22, **kw))
         assert abs(r0.value - r1.value) < 3 * math.hypot(r0.stderr, r1.stderr)
 
 
@@ -202,8 +210,8 @@ class TestElliptic:
         rng = np.random.default_rng(19)
         x = rng.random(8) + rng.random(8) * frame
         y = rng.random(8) + rng.random(8) * frame
-        g, dx, dy = curve.green(spec, x, y, 0.5, True, True)
-        assert np.max(np.abs(g - green(curve, spec, x, y, 0.5))) < 1e-12
+        g, dx, dy = curve.green(spec, x, y, True, True)
+        assert np.max(np.abs(g - green(curve, spec, x, y))) < 1e-12
 
         def wirtinger(f, z, h=1e-6):
             return ((f(z + h) - f(z - h))
@@ -221,6 +229,55 @@ class TestElliptic:
         t2 = ek_correlator_value(curve, 2, 1, -a)
         # K(a|t) = K(-a|-t): coefficientwise (p,q) at a matches (q,p)-bar at -a
         assert abs(t1 - np.conj(t2)) < 1e-10
+
+
+class TestTwoFormVertex:
+    """Integrating first over a vertex joining dz1 and dzb1 leaves the
+    integral of its one Green edge against the volume form: 0 for the
+    zero-mean g of the volume measure, -Im tau g(a - y) for a delta at a."""
+
+    @pytest.mark.parametrize("tau, a, o", (
+        (1j, 0.4 + 0.9j, 0.0),
+        (0.3 + 1.1j, 0.21 + 0.33j, 0.55 + 0.62j),
+    ), ids=("square", "skew"))
+    def test_delta_measure_closed_form(self, tau, a, o):
+        """C(s:o dz1 dzb1) is (Im tau / pi) g(a - o) under the delta at a
+        (normalization 2pii), and exactly 0 under the volume measure, whose
+        rule drops its one tree."""
+        curve = EllipticCurve(tau)
+        word = CyclicElement.from_word([point("o"), hol_form(1),
+                                        antihol_form(1)])
+        kw = dict(curve=curve, word=word, points={"o": o}, samples=1 << 18,
+                  seed=5)
+        res = correlate(CorrelatorRequest(green=GreenSpec.delta(a), **kw))
+        t = curve.im_tau / np.pi * curve.green_function(a - o)
+        assert abs(res.value - t) < 4 * res.stderr
+        vol = correlate(CorrelatorRequest(green=GreenSpec.volume(), **kw))
+        assert (vol.value, vol.stderr, vol.per_tree) == (0, 0.0, [])
+
+    @pytest.mark.parametrize("letters", ("oF", "aoF", "aFbo"))
+    def test_dropped_trees_integrate_to_zero(self, letters):
+        """Each tree the volume measure drops, compiled under a delta measure
+        (which keeps it) and integrated against the volume Green function at
+        its correlator's tree index, is 0 within 4 stderr."""
+        word = CyclicElement.from_word(
+            [lt for ch in letters for lt in
+             ([hol_form(1), antihol_form(1)] if ch == "F" else [point(ch)])])
+        kw = dict(curve=EllipticCurve(1j), word=word,
+                  points={"o": 0.0, "a": 0.31 + 0.17j, "b": 0.55 + 0.62j},
+                  samples=1 << 16, seed=3)
+        vol = CorrelatorRequest(green=GreenSpec.volume(), **kw)
+        delta = CorrelatorRequest(green=GreenSpec.delta(0.4 + 0.9j), **kw)
+        dropped = 0
+        (cw,) = word.terms
+        for i, forest in enumerate(enumerate_trivalent_trees(cw), 1):
+            (tree,) = forest.trees
+            if compile_tree(tree, vol) is None:
+                comp = compile_tree(tree, delta)
+                val, se, _, _ = _eval_tree_mc(comp, vol, i)
+                assert abs(val) < 4 * se
+                dropped += 1
+        assert dropped
 
 
 class TestPolylogTable:
@@ -246,10 +303,6 @@ class TestPolylogTable:
                             samples=1 << 16, seed=33)
         s = r1.value + r2.value
         assert abs(s) < 3 * math.hypot(r1.stderr, r2.stderr) + 1e-12
-
-    def test_variance_flag_reported(self):
-        res = multiple_green(P1, DINF, [0.0, 1.0, Z], samples=1 << 14, seed=34)
-        assert res.metadata["variance_stabilized"] in (True, False)
 
 
 def _omega_filter_terms(comp, req):
@@ -303,11 +356,13 @@ def _slot_cases():
         yield f"ek{p}{q}-pruned", CorrelatorRequest(
             curve, GreenSpec.volume(),
             symmetric_form_word(["o", "a"], [(0, 0), (p, q)]),
-            {"o": 0.0, "a": 0.31 + 0.17j}, prune_two_form_vertices=True), None
+            {"o": 0.0, "a": 0.31 + 0.17j}), None
+    # a delta measure keeps the vertex whose slots both hold forms
     word = CyclicElement.from_word([point("o"), hol_form(1), antihol_form(1),
                                     point("a")])
     yield "dz-dzb-unpruned", CorrelatorRequest(
-        curve, GreenSpec.volume(), word, {"o": 0.0, "a": 0.31 + 0.17j}), None
+        curve, GreenSpec.delta(0.4 + 0.9j), word,
+        {"o": 0.0, "a": 0.31 + 0.17j}), None
     word, labels = _p1_word(7)                    # k = 5: the old path is slow
     yield "p1-k5-some", CorrelatorRequest(P1, DINF, word, labels), (0, 41)
 
@@ -543,7 +598,7 @@ def _mixture_cases():
         yield f"ek{p}{q}", CorrelatorRequest(
             EllipticCurve(1j), GreenSpec.volume(),
             symmetric_form_word(["o", "a"], [(0, 0), (p, q)]),
-            {"o": 0.0, "a": 0.31 + 0.17j}, prune_two_form_vertices=True)
+            {"o": 0.0, "a": 0.31 + 0.17j})
     yield "torus-oab", CorrelatorRequest(
         SKEW, GreenSpec.volume(),
         CyclicElement.from_word([point("o"), point("a"), point("b")]),

@@ -132,6 +132,24 @@ class TestThetaKernel:
         assert n - 1 == 6 or q ** (n - 2) >= 1e-18
 
 
+class TestThetaFactorCap:
+    def test_small_im_tau_is_refused(self):
+        for tau in (1e-300j, 5e-324j, 1e-6j, 0.5 + 1e-6j, 0.3 + 0.0065j):
+            with pytest.raises(ValueError, match="1000 theta factors"):
+                EllipticCurve(tau)
+
+    def test_cap_bounds_the_factor_count(self):
+        # Im tau just above the bound keeps at most 1000 factors; the
+        # suggested tau lies in the standard fundamental domain
+        from hodgecor.geometry import _reduced_tau
+        assert EllipticCurve(0.0066j)._nterms() <= 1000
+        assert EllipticCurve(1j)._nterms() == 7
+        for tau in (1e-6j, 0.5 + 1e-6j, 0.3 + 0.0065j, 2.3 + 0.5j):
+            t = _reduced_tau(tau)
+            assert abs(t.real) <= 0.5 and abs(t) >= 1
+            EllipticCurve(t)
+
+
 class TestGreenElliptic:
     def test_two_evaluators_agree(self):
         for curve in (E, SKEW):
