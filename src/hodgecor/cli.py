@@ -1,7 +1,8 @@
 """Command line front end: correlators, identity suites, reference tables.
 
 Exit codes: 0 success, 1 identity-suite failure, 2 parse error,
-3 precondition violation, 4 non-convergence flag.
+3 precondition violation, 4 non-convergence flag (a large stderr, or rows
+left on a singularity after the redraws).
 """
 
 from __future__ import annotations
@@ -123,6 +124,11 @@ def cmd_correlator(args) -> int:
     }
     with _output(args.out) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
+    residual = res.metadata["residual_singular"]
+    if residual:
+        print(f"non-convergence: {residual} sample rows stayed on a "
+              f"Green-function singularity after 8 redraws", file=sys.stderr)
+        return 4
     if res.stderr > 0.5 * abs(res.value) and abs(res.value) > 0:
         print("warning: variance has not stabilized", file=sys.stderr)
         return 4
@@ -302,7 +308,13 @@ def main(argv=None) -> int:
     c.add_argument("--word", required=True)
     c.add_argument("--point", action="append",
                    help="label=value bindings for s:<label> letters")
-    c.add_argument("--samples", type=_positive_int, default=1 << 18)
+    c.add_argument("--samples", type=_positive_int, default=1 << 18,
+                   help="samples per tree; a tree runs at least 8 batches "
+                        "of 1,024-16,384 rows (qmc rounds a batch up to a "
+                        "power of two), so below 8,192 it runs 8,192, and "
+                        "the result's samples is the count run; batches are "
+                        "evaluated in blocks of up to 4,096 rows, which "
+                        "changes no value since each batch keeps its seed")
     c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--scheme", choices=("mc", "qmc"), default="mc")
     c.add_argument("--normalization", choices=("raw", "2pii", "star"),

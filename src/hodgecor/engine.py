@@ -330,15 +330,21 @@ class _Mixture:
         for v, w in comp.pairs:
             comps.append(("pair", v, w))
             comps.append(("pair", w, v))
+        # the chains of one spanning tree are consecutive components
+        # lo..hi-1: the unanchored one, then one per anchor of the root
+        chains = []
         if comp.k > 1:
             for root in range(comp.k):
                 parents = self._spanning(adj, root, comp.k)
                 if parents is None:
                     continue
+                lo = len(comps)
                 comps.append(("chain", (root, parents), None))
                 for c in comp.anchors[root]:
                     comps.append(("chain", (root, parents), c))
+                chains.append((lo, len(comps), parents))
         self.comps = comps
+        self._chains = chains
         # keep[v, i]: component i leaves column v at its global point; it
         # draws the other cells of its rows itself
         keep = np.ones((comp.k, len(comps)), dtype=bool)
@@ -423,30 +429,33 @@ class _Mixture:
         th = 2 * np.pi * U[:, 2 + 2 * k]
         off = r * np.exp(1j * th)
         for i, (kind, v, c) in enumerate(self.comps[1:], 1):
+            if c is None:       # an unanchored chain: its root stays global
+                continue
             rows = np.flatnonzero(ci == i)
             if not len(rows):
                 continue
+            o = off[rows]
             if kind == "pt":
-                o = off[rows]
                 A[rows, v] = c + o
                 B[rows, v] = c - o
             elif kind == "pair":
-                o = off[rows]
                 A[rows, v] = A[rows, c] + o
                 B[rows, v] = B[rows, c] - o
-            else:  # chain
-                root, parents = v
-                if c is not None:
-                    o = off[rows]
-                    A[rows, root] = c + o
-                    B[rows, root] = c - o
-                # per-variable polar offsets, recycled from the same uniforms
-                # that would otherwise drive the global coordinates
-                for child, parent in parents:
-                    o = (self.rho * U[rows, 1 + 2 * child]
-                         * np.exp(2j * np.pi * U[rows, 2 + 2 * child]))
-                    A[rows, child] = A[rows, parent] + o
-                    B[rows, child] = B[rows, parent] - o
+            else:               # an anchored chain places its root
+                A[rows, v[0]] = c + o
+                B[rows, v[0]] = c - o
+        # the chains of one spanning tree hang the other variables off their
+        # roots together, by per-variable polar offsets recycled from the
+        # uniforms that would otherwise drive the global coordinates
+        for lo, hi, parents in self._chains:
+            rows = np.flatnonzero((ci >= lo) & (ci < hi))
+            if not len(rows):
+                continue
+            for child, parent in parents:
+                o = (self.rho * U[rows, 1 + 2 * child]
+                     * np.exp(2j * np.pi * U[rows, 2 + 2 * child]))
+                A[rows, child] = A[rows, parent] + o
+                B[rows, child] = B[rows, parent] - o
         return A, B
 
     def draw(self, rng, n):
@@ -485,16 +494,20 @@ class _Mixture:
 
 # rows per batch, before the at-least-8-batches rule
 _BATCH = 1 << 14
+# rows per block: consecutive whole batches are stacked into one block for
+# the sampler and the integrand; a batch this size or larger is its own block
+_BLOCK = 1 << 12
 # points closer than this (by `separation`) are one point
 _COINCIDENT = 1e-9
 
 
 def _coord(desc, pts):
-    """Positions of an edge end over the rows of pts: an internal-vertex
-    column, or a fixed point repeated."""
+    """Position of an edge end over the rows of pts: an internal-vertex
+    column, or a fixed point as one complex scalar, broadcast by the Green
+    kernel."""
     if desc[0] == "v":
         return pts[:, desc[1]]
-    return np.full(pts.shape[0], complex(desc[1]))
+    return complex(desc[1])
 
 
 def _block(block, der):
@@ -560,51 +573,81 @@ def _singular_mask(comp: _CompiledTree, curve, pts):
     return bad
 
 
+def _draw_block(mix, req, rngs, batch):
+    """The uniform matrix of a block: batch b's rows drawn by its own
+    generator, from a scrambled Sobol engine seeded by it under qmc."""
+    if req.scheme == "qmc":
+        from scipy.stats import qmc
+    U = np.empty((len(rngs) * batch, mix.uniform_dim()))
+    for i, rng in enumerate(rngs):
+        if req.scheme == "qmc":
+            # independently scrambled Sobol per batch: unbiased, and the
+            # batch spread remains a valid error estimate
+            sobol = qmc.Sobol(d=mix.uniform_dim(), scramble=True, seed=rng)
+            U[i * batch:(i + 1) * batch] = sobol.random(batch)
+        else:
+            rng.random(out=U[i * batch:(i + 1) * batch])
+    return U
+
+
+def _redraw(comp, curve, mix, rngs, batch, A, B):
+    """Redraw the rows of a block on a Green-function singularity, each from
+    its batch's generator, for up to 8 rounds; returns (rows redrawn, rows
+    still singular after the last round)."""
+    rejected = 0
+    for round_ in range(9):
+        bad = (_singular_mask(comp, curve, A) | _singular_mask(comp, curve, B))
+        nb = int(bad.sum())
+        if nb == 0 or round_ == 8:
+            return rejected, nb
+        rejected += nb
+        for i, rng in enumerate(rngs):
+            rows = np.flatnonzero(bad[i * batch:(i + 1) * batch]) + i * batch
+            if len(rows):
+                A[rows], B[rows] = mix.draw(rng, len(rows))
+
+
 def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     """Batched antithetic importance sampling for one tree; returns
-    (value, stderr, n_samples, n_rejected)."""
+    (value, stderr, n_samples, (n_rejected, n_residual)), the last pair the
+    rows redrawn off a singularity and those still on one after 8 redraws.
+
+    Batch b draws from its own generator, so its values do not depend on
+    how batches are grouped: consecutive batches share one block of at
+    most `_BLOCK` rows, and each block makes one `build`, one
+    `_singular_mask` pass per redraw round and one `integrand`/`density`
+    call per antithetic half."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
         x = np.full(1, complex(ends[0][1]))
         y = np.full(1, complex(ends[1][1]))
         g, _, _ = req.curve.green(req.green, x, y)
-        return complex(comp.sign * g[0]), 0.0, 0, 0
+        return complex(comp.sign * g[0]), 0.0, 0, (0, 0)
     mix = _Mixture(req.curve, comp, req.curve.default_rho)
     # at least 8 batches so the batch-mean spread is a usable error estimate
     batch = max(1024, min(_BATCH, req.samples // 8))
     if req.scheme == "qmc":
-        # Sobol points keep their balance only in power-of-two blocks
+        # Sobol points keep their balance only in power-of-two counts
         batch = 1 << (batch - 1).bit_length()
     nbatches = max(8, (req.samples + batch - 1) // batch)
+    per_block = max(1, _BLOCK // batch)
     means = np.empty(nbatches, dtype=complex)
-    rejected = 0
-    if req.scheme == "qmc":
-        from scipy.stats import qmc
-    for b in range(nbatches):
-        rng = np.random.default_rng([req.seed, tree_index, b, 0x9e3779b9])
-        if req.scheme == "qmc":
-            # independently scrambled Sobol per batch: unbiased, and the
-            # batch spread remains a valid error estimate
-            sobol = qmc.Sobol(d=mix.uniform_dim(), scramble=True, seed=rng)
-            A, B = mix.build(sobol.random(batch))
-        else:
-            A, B = mix.build(rng.random((batch, mix.uniform_dim())))
-        for _ in range(8):
-            bad = (_singular_mask(comp, req.curve, A)
-                   | _singular_mask(comp, req.curve, B))
-            nb = int(bad.sum())
-            if nb == 0:
-                break
-            rejected += nb
-            A2, B2 = mix.draw(rng, nb)
-            A[bad], B[bad] = A2, B2
+    rejected = residual = 0
+    for b0 in range(0, nbatches, per_block):
+        rngs = [np.random.default_rng([req.seed, tree_index, b, 0x9e3779b9])
+                for b in range(b0, min(b0 + per_block, nbatches))]
+        A, B = mix.build(_draw_block(mix, req, rngs, batch))
+        rej, res = _redraw(comp, req.curve, mix, rngs, batch, A, B)
+        rejected += rej
+        residual += res
         w = 0.5 * (integrand(comp, req, A) / mix.density(A)
                    + integrand(comp, req, B) / mix.density(B))
-        means[b] = w.mean()
+        for i in range(len(rngs)):
+            means[b0 + i] = w[i * batch:(i + 1) * batch].mean()
     value = complex(np.mean(means))
     se = float(np.sqrt((np.var(means.real) + np.var(means.imag)) / nbatches))
-    return value, se, nbatches * batch, rejected
+    return value, se, nbatches * batch, (rejected, residual)
 
 
 def _validate_request(req: CorrelatorRequest):
@@ -658,7 +701,7 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
     total = 0j
     errsq = 0.0
     samples = 0
-    rejected = 0
+    rejected = residual = 0
     tree_index = 0
     for cw, coeff in sorted(req.word.terms.items(), key=lambda kv: repr(kv[0])):
         for forest in enumerate_trivalent_trees(cw):
@@ -667,7 +710,7 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
             tree_index += 1
             if comp is None:
                 continue
-            val, se, ns, rej = _eval_tree_mc(comp, req, tree_index)
+            val, se, ns, (rej, res) = _eval_tree_mc(comp, req, tree_index)
             norm = _normalization(comp, req) * float(coeff) * forest.sign
             v = norm * val
             e = abs(norm) * se
@@ -676,6 +719,7 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
             errsq += e * e
             samples += ns
             rejected += rej
+            residual += res
     meta = {
         "curve": req.curve.label,
         "green": repr(req.green.mu),
@@ -684,6 +728,8 @@ def correlate(req: CorrelatorRequest) -> CorrelatorResult:
         "seed": req.seed,
         "scheme": req.scheme,
         "samples_requested": req.samples,
+        # sample rows still on a Green-function singularity after 8 redraws
+        "residual_singular": residual,
     }
     return CorrelatorResult(total, math.sqrt(errsq), samples, per_tree,
                             rejected, meta)

@@ -300,3 +300,24 @@ class TestRoundTrip:
         p2 = json.loads(out2.read_text())
         assert p2["value"] == payload["value"]
         assert p2["stderr"] == payload["stderr"]
+
+
+def test_rows_left_singular_exit_4(monkeypatch, capsys):
+    """Rows still on a singularity after the 8 redraws end in exit 4 with a
+    message, and the JSON reports their count."""
+    from hodgecor.engine import _Mixture
+    build = _Mixture.build
+
+    def planted(self, U):
+        A, B = build(self, U)
+        A[::1024, 0] = 0.0                # every draw, redraws included
+        return A, B
+
+    monkeypatch.setattr(_Mixture, "build", planted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = main(["correlator", "--word", "C(s:0 s:1 s:0.3+0.1i)",
+                     "--samples", "4096", "--seed", "3", "--out", "-"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "8 sample rows" in err
+    assert json.loads(out)["metadata"]["residual_singular"] == 8

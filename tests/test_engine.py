@@ -729,10 +729,67 @@ def test_rows_on_a_singularity_are_redrawn(monkeypatch):
     def planted(self, U):
         A, B = build(self, U)
         if len(U) > 1:                    # full batches, not the redraws
-            A[0, 0] = 0.0
+            A[::1024, 0] = 0.0            # row 0 of each batch of the block
         return A, B
 
     monkeypatch.setattr(_Mixture, "build", planted)
     res = multiple_green(P1, DINF, [0.0, 1.0, Z], samples=1 << 13, seed=1)
     assert res.rejected == 8              # one row in each of the 8 batches
     assert np.isfinite(res.value) and np.isfinite(res.stderr)
+
+
+def test_rows_still_singular_after_the_redraws_are_reported(monkeypatch):
+    """A row that every draw puts on a decoration point, redraws included,
+    is redrawn 8 times and then counted in metadata["residual_singular"]."""
+    build = _Mixture.build
+
+    def planted(self, U):
+        A, B = build(self, U)
+        A[::1024, 0] = 0.0                # row 0 of each batch, and each redraw
+        return A, B
+
+    monkeypatch.setattr(_Mixture, "build", planted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = multiple_green(P1, DINF, [0.0, 1.0, Z], samples=1 << 13, seed=1)
+    assert res.rejected == 8 * 8          # 8 rounds in each of the 8 batches
+    assert res.metadata["residual_singular"] == 8
+
+
+def _block_cases():
+    pts4 = [0.0, 1.0, Z, 1.4 + 0.6j]
+    yield "mc", lambda: multiple_green(P1, DINF, pts4, samples=1 << 13, seed=2), False
+    yield "qmc", lambda: multiple_green(P1, DINF, pts4, samples=1 << 13, seed=2,
+                                        scheme="qmc"), False
+    yield "torus-delta", lambda: multiple_green(
+        SKEW, GreenSpec.delta(0.4 + 0.9j), [0.0, 0.21 + 0.33j, 0.55 + 0.62j],
+        samples=1 << 13, seed=3), False
+    yield "planted-redraws", lambda: multiple_green(
+        P1, DINF, [0.0, 1.0, Z], samples=1 << 13, seed=1), True
+
+
+@pytest.mark.parametrize("run, plant", [c[1:] for c in _block_cases()],
+                         ids=[c[0] for c in _block_cases()])
+def test_blocks_match_batch_at_a_time(monkeypatch, run, plant):
+    """Stacking a tree's 1,024-row batches into blocks of 4,096 rows changes
+    no value, stderr, redraw count or metadata, and makes one `build` call
+    per block instead of one per batch."""
+    build = _Mixture.build
+    calls = []
+
+    def counted(self, U):
+        A, B = build(self, U)
+        if len(U) > 1:                    # blocks, not the redraws
+            calls.append(len(U))
+            if plant:
+                A[::1024, 0] = 0.0        # row 0 of each batch of the block
+        return A, B
+
+    monkeypatch.setattr(_Mixture, "build", counted)
+    blocked = run()
+    assert calls == [4096] * 2 * len(blocked.per_tree)
+    calls.clear()
+    monkeypatch.setattr("hodgecor.engine._BLOCK", 1024)
+    single = run()
+    assert calls == [1024] * 8 * len(single.per_tree)
+    assert blocked.as_dict() == single.as_dict()
+    assert blocked.rejected == (8 if plant else 0)
