@@ -210,17 +210,20 @@ def _suite_forms(args, report) -> bool:
     report("d_omega_identity", ok, f"m <= {args.max_m}")
     ok_xi = True
     from .form_calculus import dC
-    for m in range(1, min(args.max_m, 4) + 1):
+    for m in range(1, args.max_m + 1):
         xi, eta = xi_eta(m)
         ok_xi &= dC(xi) == eta
         ok_xi &= all(abs(c) == 1 for c in eta.terms.values())
-    report("dC_xi=eta", ok_xi, "and eta coefficients +-1")
+    report("dC_xi=eta", ok_xi, f"m <= {args.max_m}, eta coefficients +-1")
     ok_star = True
-    for n in range(1, min(args.max_m, 4) + 1):
+    for n in range(1, args.max_m + 1):
         for alpha in range(n + 1):
             scaled = Fraction(n + 1) * omega_star(alpha, n - alpha)
-            ok_star &= all(abs(c) == 1 for c in scaled.terms.values())
-    report("omega_star_pm1", ok_star, "(a+b+1) omega* has +-1 coefficients")
+            ok_star &= bool(scaled.terms) and all(
+                abs(c) == 1 for c in scaled.terms.values())
+    report("omega_star_pm1", ok_star,
+           f"m <= {args.max_m}, a+b = m: (m+1) omega*_(a,b) is nonzero "
+           "with +-1 coefficients")
     return ok and ok_xi and ok_star
 
 
@@ -326,7 +329,10 @@ def main(argv=None) -> int:
     i.add_argument("--suite", required=True,
                    choices=("algebra", "trees", "derivations", "forms", "numeric"))
     i.add_argument("--trials", type=_positive_int, default=12)
-    i.add_argument("--max-m", dest="max_m", type=_positive_int, default=4)
+    i.add_argument("--max-m", dest="max_m", type=_positive_int, default=4,
+                   help="forms suite: check the d-omega identity, dC xi_m = "
+                        "eta_m and the omega*_{a,b} coefficients for every "
+                        "m = a+b from 1 to this")
     i.add_argument("--max-leaves", dest="max_leaves", type=_word_length,
                    default=6)
     i.add_argument("--samples", type=_positive_int, default=1 << 16)

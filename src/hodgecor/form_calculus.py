@@ -5,8 +5,11 @@ are the holomorphic / antiholomorphic halves of the de Rham differential and
 lap(phi) stands for db d phi (so d db phi rewrites to -lap phi).  Monomials
 multiply with Koszul signs in the total degree; coefficients are exact
 rationals.  This module is the sign authority for the numeric engine: the
-alternation sum, the forms built out of it, and the differential identities
-they satisfy are all checked here symbolically.
+alternation sum, the forms it defines, and the differential identities
+they satisfy are all checked here symbolically.  The forms are built from
+collapsed expansions, one term per distinct signed product with its
+multiplicity; the (m+1)!-term alternation sum `alt` stays as their
+definition, which the tests compare them against.
 """
 
 from __future__ import annotations
@@ -182,7 +185,9 @@ def alt(template: Callable[[Sequence[int]], FormPolynomial],
     """Alternation sum over all permutations of the m+1 arguments.
 
     `template(order)` must build the expression with argument ids permuted by
-    `order`; signs follow the shifted-degree rule above.
+    `order`; signs follow the shifted-degree rule above.  The forms below are
+    built from collapsed expansions instead; this is their definition, and
+    the tests compare each of them against it.
     """
     acc = {}
     for perm in itertools.permutations(range(len(degrees))):
@@ -192,26 +197,56 @@ def alt(template: Callable[[Sequence[int]], FormPolynomial],
     return FormPolynomial._from_canonical(acc)
 
 
-def _omega_template(degrees: Sequence[int]) -> Callable:
-    m = len(degrees) - 1
-    # the factors do not depend on the permutation: build them once
-    phis = [phi(i, g) for i, g in enumerate(degrees)]
-    d_phis = [d(p) for p in phis]
-    db_phis = [db(p) for p in phis]
+def _degrees(m: int, degrees: Sequence[int] | None) -> Sequence[int]:
+    if degrees is None:
+        return [0] * (m + 1)
+    if len(degrees) != m + 1:
+        raise ValueError("need one degree per argument")
+    return degrees
 
-    def build(order: Sequence[int]) -> FormPolynomial:
-        acc = {}
-        for k in range(m + 1):
-            term = phis[order[0]]
-            for idx in order[1:k + 1]:
-                term = term * d_phis[idx]
-            for idx in order[k + 1:]:
-                term = term * db_phis[idx]
-            for mono, c in term.terms.items():
-                add_into(acc, mono, -c if k % 2 else c)
-        return FormPolynomial._from_canonical(acc)
 
-    return build
+def _omega_expansion(args: Sequence[int], degrees: Sequence[int],
+                     n_d: int | None = None):
+    """Yield omega over the ascending argument ids `args` as (coeff, j, A, B):
+    coeff * phi_j * prod_{a in A} d phi_a * prod_{b in B} db phi_b, A and B
+    ascending, wedge factors ordered A then B; phi_i has degree degrees[i].
+    With n_d given, only the terms with |A| = n_d.
+
+    Of the (m+1)! permutations in Alt, the |A|! |B|! that keep j in front
+    and permute only inside A and inside B all repeat one signed product:
+    d phi and db phi factors graded-commute under the same shifted-degree
+    sign `_alt_sign` charges.
+    """
+    m = len(args) - 1
+    fact = math.factorial
+    for j in args:
+        rest = [i for i in args if i != j]
+        for k in (range(m + 1) if n_d is None else (n_d,)):
+            weight = Fraction((-1) ** k * fact(k) * fact(m - k), fact(m + 1))
+            for A in itertools.combinations(rest, k):
+                B = tuple(i for i in rest if i not in A)
+                yield _alt_sign([j, *A, *B], degrees) * weight, j, A, B
+
+
+def _omega(args: Sequence[int], degrees: Sequence[int],
+           n_d: int | None = None) -> FormPolynomial:
+    """`_omega_expansion` as a polynomial; each (j, A, B) is its own
+    monomial."""
+    acc = {}
+    for coeff, j, A, B in _omega_expansion(args, degrees, n_d):
+        sgn, mono = _sort_sign((FormSymbol(j, "phi", degrees[j]),
+                                *(FormSymbol(a, "d", degrees[a]) for a in A),
+                                *(FormSymbol(b, "db", degrees[b]) for b in B)))
+        acc[mono] = coeff if sgn > 0 else -coeff
+    return FormPolynomial._from_canonical(acc)
+
+
+def _heads(m: int, degrees: Sequence[int]):
+    """Yield (sign, j, rest) for each head j, with the other arguments
+    ascending and the `_alt_sign` of the order j, rest."""
+    for j in range(m + 1):
+        rest = [i for i in range(m + 1) if i != j]
+        yield _alt_sign([j, *rest], degrees), j, rest
 
 
 def omega(m: int, degrees: Sequence[int] | None = None) -> FormPolynomial:
@@ -221,11 +256,7 @@ def omega(m: int, degrees: Sequence[int] | None = None) -> FormPolynomial:
     """
     if m < 0:
         raise ValueError("omega needs m >= 0")
-    if degrees is None:
-        degrees = [0] * (m + 1)
-    if len(degrees) != m + 1:
-        raise ValueError("need one degree per argument")
-    return Fraction(1, math.factorial(m + 1)) * alt(_omega_template(degrees), degrees)
+    return _omega(range(m + 1), _degrees(m, degrees))
 
 
 def omega_terms(m: int):
@@ -238,19 +269,7 @@ def omega_terms(m: int):
     tree side, sorted into this order (j, then |A|, then A), and a test
     compares the two.
     """
-    out = []
-    fact = math.factorial
-    idx = range(m + 1)
-    for j in idx:
-        rest = [i for i in idx if i != j]
-        for k in range(m + 1):
-            for A in itertools.combinations(rest, k):
-                B = tuple(i for i in rest if i not in A)
-                perm = [j] + list(A) + list(B)
-                sgn = _alt_sign(perm, [0] * (m + 1))
-                coeff = Fraction((-1) ** k * fact(k) * fact(m - k) * sgn, fact(m + 1))
-                out.append((coeff, j, A, B))
-    return out
+    return list(_omega_expansion(range(m + 1), [0] * (m + 1)))
 
 
 def d_omega_identity(m: int, degrees: Sequence[int] | None = None) -> bool:
@@ -259,8 +278,7 @@ def d_omega_identity(m: int, degrees: Sequence[int] | None = None) -> bool:
     """
     if m < 1:
         raise ValueError("identity needs m >= 1")
-    if degrees is None:
-        degrees = [0] * (m + 1)
+    degrees = _degrees(m, degrees)
     lhs = total_d(omega(m, degrees))
 
     term1 = phi(0, degrees[0])
@@ -271,32 +289,23 @@ def d_omega_identity(m: int, degrees: Sequence[int] | None = None) -> bool:
     for i in range(1, m + 1):
         term2 = term2 * db(phi(i, degrees[i]))
 
-    # omega_{m-1} by argument degrees, built once per call (not cached
-    # across calls, so every check redoes its own work)
-    inner = {}
-
-    def lap_template(order):
-        j = order[0]
-        rest = order[1:]
-        head = FormPolynomial._from_canonical(
-            {(FormSymbol(j, "lap", degrees[j]),): Fraction((-1) ** degrees[j])})
-        sub_degrees = tuple(degrees[i] for i in rest)
-        sub = inner.get(sub_degrees)
-        if sub is None:
-            sub = inner[sub_degrees] = omega(m - 1, sub_degrees)
-        # re-index the inner omega's arguments 0..m-1 onto `rest`, re-sorting
-        # each monomial with its Koszul sign
-        acc = {}
-        for mono, c in sub.terms.items():
-            sgn, canon = _sort_sign(
-                tuple(FormSymbol(rest[s.arg], s.dtype, s.base_degree) for s in mono))
-            if sgn is not None:
-                add_into(acc, canon, c if sgn > 0 else -c)
-        return head * FormPolynomial._from_canonical(acc)
-
-    lap_part = Fraction(1, math.factorial(m)) * alt(lap_template, degrees)
-    rhs = Fraction((-1) ** m) * term1 + term2 + lap_part
+    rhs = Fraction((-1) ** m) * term1 + term2 + _lap_part(m, degrees)
     return lhs == rhs
+
+
+def _lap_part(m: int, degrees: Sequence[int]) -> FormPolynomial:
+    """(1/m!) Alt((-1)^{|phi_0|} lap phi_0 ^ omega_{m-1}(phi_1..phi_m)).
+
+    omega_{m-1} alternates under the sign Alt charges, so the m! orders of
+    the arguments after a head j all repeat the term with them ascending,
+    and m! cancels the 1/m!.
+    """
+    out = FormPolynomial()
+    for sign, j, rest in _heads(m, degrees):
+        head = FormPolynomial._from_canonical(
+            {(FormSymbol(j, "lap", degrees[j]),): Fraction(sign * (-1) ** degrees[j])})
+        out = out + head * _omega(rest, degrees)
+    return out
 
 
 def xi_eta(m: int, degrees: Sequence[int] | None = None):
@@ -306,32 +315,28 @@ def xi_eta(m: int, degrees: Sequence[int] | None = None):
     the binomial expansion with coefficients (-1)^k C(m,k) (for degree-0
     arguments this agrees with omega_1 at m=1); eta_m = dC xi_m, whose
     expansion has all coefficients +-1.
+
+    The dC phi factors graded-commute under the sign Alt charges, so Alt
+    keeps m! equal copies of each head j in xi_m and (m+1)! copies of the
+    one product in eta_m.
     """
     if m < 1:
         raise ValueError("xi/eta need m >= 1")
-    if degrees is None:
-        degrees = [0] * (m + 1)
-
+    degrees = _degrees(m, degrees)
     phis = [phi(i, g) for i, g in enumerate(degrees)]
     dc_phis = [dC(p) for p in phis]
 
-    def xi_template(order):
-        term = phis[order[0]]
-        for idx in order[1:]:
-            term = term * dc_phis[idx]
-        return term
+    xi = FormPolynomial()
+    for sign, j, rest in _heads(m, degrees):
+        term = phis[j]
+        for i in rest:
+            term = term * dc_phis[i]
+        xi = xi + Fraction(sign) * term
 
-    pref = Fraction((-1) ** m, math.factorial(m + 1))
-    xi = pref * alt(xi_template, degrees)
-
-    def eta_template(order):
-        term = dc_phis[order[0]]
-        for idx in order[1:]:
-            term = term * dc_phis[idx]
-        return term
-
-    eta = pref * alt(eta_template, degrees)
-    return xi, eta
+    eta = dc_phis[0]
+    for p in dc_phis[1:]:
+        eta = eta * p
+    return Fraction((-1) ** m, m + 1) * xi, Fraction((-1) ** m) * eta
 
 
 def omega_star(alpha: int, beta: int, degrees: Sequence[int] | None = None) -> FormPolynomial:
@@ -340,8 +345,7 @@ def omega_star(alpha: int, beta: int, degrees: Sequence[int] | None = None) -> F
     if alpha < 0 or beta < 0:
         raise ValueError("need alpha, beta >= 0")
     m = alpha + beta
-    om = omega(m, degrees)
-    return Fraction(math.comb(m, alpha)) * om.bidegree_component(alpha, beta)
+    return Fraction(math.comb(m, alpha)) * _omega(range(m + 1), _degrees(m, degrees), alpha)
 
 
 def pretty(poly: FormPolynomial) -> str:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hodgecor import cli
 from hodgecor.cli import main
+from hodgecor.form_calculus import FormPolynomial
 from hodgecor.geometry import INFINITY, cross_ratio, single_valued_polylog
 
 
@@ -206,6 +208,19 @@ class TestIdentities:
     def test_forms_suite(self, capsys):
         assert main(["identities", "--suite", "forms", "--max-m", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_forms_suite_covers_max_m(self, capsys):
+        assert main(["identities", "--suite", "forms", "--max-m", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("[PASS]") and "m <= 6" in line
+                   for line in lines)
+
+    def test_empty_omega_star_fails(self, monkeypatch, capsys):
+        # an empty polynomial has no coefficient that is not +-1
+        monkeypatch.setattr(cli, "omega_star", lambda a, b: FormPolynomial())
+        assert main(["identities", "--suite", "forms", "--max-m", "1"]) == 1
+        assert "[FAIL] omega_star_pm1" in capsys.readouterr().out
 
     def test_algebra_suite(self, capsys):
         assert main(["identities", "--suite", "algebra", "--trials", "6"]) == 0

@@ -4,9 +4,70 @@ from fractions import Fraction
 import pytest
 
 from hodgecor.form_calculus import (
-    FormPolynomial, FormSymbol, _alt_sign, alt, d, db, dC, d_omega_identity,
-    omega, omega_star, omega_terms, phi, xi_eta,
+    FormPolynomial, FormSymbol, _alt_sign, _lap_part, _sort_sign, alt, d, db,
+    dC, d_omega_identity, omega, omega_star, omega_terms, phi, xi_eta,
 )
+
+# degree vectors for the comparisons with the alternation sum: all 0, all 1,
+# all 2 and mixed, cut to m+1 arguments
+DEGREES = ([0] * 6, [1] * 6, [2] * 6, [2, 0, 1, 0, 1, 2])
+
+
+def alt_omega(m, degs):
+    """omega_m by its definition, (1/(m+1)!) Alt sum_k (-1)^k
+    phi_0 d phi_1 .. d phi_k db phi_{k+1} .. db phi_m."""
+    phis = [phi(i, g) for i, g in enumerate(degs)]
+    d_phis, db_phis = [d(p) for p in phis], [db(p) for p in phis]
+
+    def template(order):
+        out = FormPolynomial()
+        for k in range(m + 1):
+            term = phis[order[0]]
+            for i in order[1:k + 1]:
+                term = term * d_phis[i]
+            for i in order[k + 1:]:
+                term = term * db_phis[i]
+            out = out + Fraction((-1) ** k) * term
+        return out
+
+    return Fraction(1, math.factorial(m + 1)) * alt(template, degs)
+
+
+def alt_xi_eta(m, degs):
+    """(xi_m, eta_m) by their definition, ((-1)^m/(m+1)!) Alt of
+    phi_0 dC phi_1 .. dC phi_m and of dC phi_0 .. dC phi_m."""
+    def template(first):
+        def build(order):
+            term = first(phi(order[0], degs[order[0]]))
+            for i in order[1:]:
+                term = term * dC(phi(i, degs[i]))
+            return term
+        return build
+
+    pref = Fraction((-1) ** m, math.factorial(m + 1))
+    return (pref * alt(template(lambda p: p), degs),
+            pref * alt(template(dC), degs))
+
+
+def alt_lap_part(m, degs):
+    """(1/m!) Alt((-1)^{|phi_0|} lap phi_0 ^ omega_{m-1}(phi_1..phi_m)), with
+    omega_{m-1} from `alt_omega`, its arguments renamed to the order's."""
+    inner_by_degrees = {}
+
+    def template(order):
+        j, rest = order[0], order[1:]
+        sub = tuple(degs[i] for i in rest)
+        if sub not in inner_by_degrees:
+            inner_by_degrees[sub] = alt_omega(m - 1, sub)
+        inner = FormPolynomial()
+        for mono, c in inner_by_degrees[sub].terms.items():
+            sgn, canon = _sort_sign(tuple(
+                FormSymbol(rest[s.arg], s.dtype, s.base_degree) for s in mono))
+            inner = inner + FormPolynomial({canon: sgn * c})
+        head = FormPolynomial({(FormSymbol(j, "lap", degs[j]),): (-1) ** degs[j]})
+        return head * inner
+
+    return Fraction(1, math.factorial(m)) * alt(template, degs)
 
 
 def test_alt_standard_for_functions():
@@ -75,7 +136,7 @@ def test_omega2_fixture():
 
 def test_omega_terms_match_symbolic():
     # the engine template and the symbolic expansion agree
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4, 5):
         om = omega(m)
         rebuilt = FormPolynomial()
         for coeff, j, A, B in omega_terms(m):
@@ -144,6 +205,45 @@ def test_omega_is_rebuilt_per_call():
     first, second = omega(3), omega(3)
     assert first == second
     assert first is not second and first.terms is not second.terms
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("degs", DEGREES)
+def test_xi_eta_match_alt(m, degs):
+    assert xi_eta(m, degs[:m + 1]) == alt_xi_eta(m, degs[:m + 1])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degs", DEGREES)
+def test_omega_and_omega_star_match_alt(m, degs):
+    om = alt_omega(m, degs[:m + 1])
+    assert omega(m, degs[:m + 1]) == om
+    for alpha in range(m + 1):
+        assert omega_star(alpha, m - alpha, degs[:m + 1]) == \
+            Fraction(math.comb(m, alpha)) * om.bidegree_component(alpha, m - alpha)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("degs", DEGREES)
+def test_lap_part_matches_alt(m, degs):
+    assert _lap_part(m, degs[:m + 1]) == alt_lap_part(m, degs[:m + 1])
+
+
+def test_omega_terms_order():
+    # the engine test relies on the order j, then |A|, then A
+    for m in (1, 2, 3, 4):
+        keys = [(j, len(A), A) for _, j, A, _ in omega_terms(m)]
+        assert keys == sorted(keys)
+        assert len(keys) == (m + 1) * 2 ** m
+
+
+def test_wrong_degree_count_is_rejected():
+    with pytest.raises(ValueError):
+        omega(2, [0, 0])
+    with pytest.raises(ValueError):
+        xi_eta(2, [0, 0, 0, 0])
+    with pytest.raises(ValueError):
+        omega_star(1, 1, [0])
 
 
 def test_xi_equals_omega_at_one():

@@ -1,5 +1,5 @@
 """Golden outputs of the exact side: sha256 of the canonical text of omega_4,
-eta_4, the cobracket, tree sum and its differential on three fixed words,
+omega_5, xi_4, eta_4, the five omega*_{a,4-a}, the cobracket, tree sum and its differential on three fixed words,
 the special derivation, bracket and cyclic derivatives of two fixed cyclic
 elements, and the dilogarithm coproduct.  Any change to a sign, a
 coefficient or a canonical form changes a digest."""
@@ -14,7 +14,7 @@ from hodgecor.exact_algebra import (
     AlgebraElement, CyclicElement, derivative_identity_check, dilog_coproduct,
     partial_derivative, point,
 )
-from hodgecor.form_calculus import omega, pretty, xi_eta
+from hodgecor.form_calculus import omega, omega_star, pretty, xi_eta
 from hodgecor.tree_calculus import CasimirBasis, cobracket, differential, tree_sum_map
 
 BASIS = CasimirBasis.symplectic(1)
@@ -31,6 +31,24 @@ def test_forms_golden():
         "0c6603f0f6c95c3a34c51c821d5cf0193265fc483eb6b740c0d56f7da234907e"
     assert digest(pretty(xi_eta(4)[1])) == \
         "5698bc86cc3e24c19674dfcef0b16d62fa528a72fbacc3366e35c765c392e7e4"
+
+
+def test_more_forms_golden():
+    assert digest(pretty(xi_eta(4)[0])) == \
+        "ba783b5aea133112157d948cf3a90b79e529c06f149fe5e906643ac7968a2145"
+    assert digest(pretty(omega(5))) == \
+        "88887ca3f984adc733c496a325967e45724737a2391931963471705eacc22e74"
+
+
+@pytest.mark.parametrize("alpha,expected", [
+    (0, "aecf711f1985617ea7e1d7c33668c0a57863daff69edfd21f9f12cd31bbc6cb8"),
+    (1, "7d13e74ee0d78d07472bd5d995d4905ec5ad4ba712ea59a55b44b7fdcdc46cb5"),
+    (2, "1fd6155572ddb4e0aec4ea1cd66cf249a3ac4bfb0a660e75b04622aa740b0543"),
+    (3, "de9ad550104a82e10147ea90dee71f74b4111d0ec19fcad72709ad97ff537403"),
+    (4, "423e8b2512accb1dcbe02537474cc3e58a2c63668928ca6899e1e9cdaa0db04e"),
+])
+def test_omega_star_golden(alpha, expected):
+    assert digest(pretty(omega_star(alpha, 4 - alpha))) == expected
 
 
 @pytest.mark.parametrize("word,expected", [
