@@ -1,8 +1,8 @@
 """Command line front end: correlators, identity suites, reference tables.
 
 Exit codes: 0 success, 1 identity-suite failure, 2 parse error,
-3 precondition violation, 4 non-convergence flag (a large stderr, or rows
-left on a singularity after the redraws).
+3 precondition violation, 4 non-convergence flag (stderr above half of
+|value|, or rows left on a singularity after the redraws).
 """
 
 from __future__ import annotations
@@ -30,34 +30,21 @@ from .exact_algebra import derivative_identity_check, shuffle_sum
 from .geometry import parse_point
 
 
-def _int_at_least(text: str, lowest: int, what: str) -> int:
-    """An integer >= lowest, else a parse error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = lowest - 1
-    if value < lowest:
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-    return value
+def _int_at_least(lowest: int, what: str):
+    """argparse type of an integer >= lowest; anything else is a parse
+    error (exit 2) that names `what` was expected."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the counts."""
-    return _int_at_least(text, 1, "a positive integer")
-
-
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy seeds are non-negative integers."""
-    return _int_at_least(text, 0, "a non-negative integer")
-
-
-def _word_length(text: str) -> int:
-    """argparse type of --max-leaves: a word needs two letters."""
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(
-            f"a word needs at least 2 letters, got {text!r}")
-    return value
+_positive_int = _int_at_least(1, "a positive integer")
 
 
 def _out_path(text: str) -> str:
@@ -130,7 +117,8 @@ def cmd_correlator(args) -> int:
               f"Green-function singularity after 8 redraws", file=sys.stderr)
         return 4
     if res.stderr > 0.5 * abs(res.value) and abs(res.value) > 0:
-        print("warning: variance has not stabilized", file=sys.stderr)
+        print(f"non-convergence: stderr {res.stderr:.3g} is above half of "
+              f"|value| {abs(res.value):.3g}", file=sys.stderr)
         return 4
     return 0
 
@@ -318,7 +306,9 @@ def main(argv=None) -> int:
                         "the result's samples is the count run; batches are "
                         "evaluated in blocks of up to 4,096 rows, which "
                         "changes no value since each batch keeps its seed")
-    c.add_argument("--seed", type=_seed, default=0)
+    # numpy seeds are non-negative integers
+    c.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"),
+                   default=0)
     c.add_argument("--scheme", choices=("mc", "qmc"), default="mc")
     c.add_argument("--normalization", choices=("raw", "2pii", "star"),
                    default="2pii")
@@ -333,8 +323,8 @@ def main(argv=None) -> int:
                    help="forms suite: check the d-omega identity, dC xi_m = "
                         "eta_m and the omega*_{a,b} coefficients for every "
                         "m = a+b from 1 to this")
-    i.add_argument("--max-leaves", dest="max_leaves", type=_word_length,
-                   default=6)
+    i.add_argument("--max-leaves", dest="max_leaves", type=_int_at_least(
+        2, "a positive integer (a word needs at least 2 letters)"), default=6)
     i.add_argument("--samples", type=_positive_int, default=1 << 16)
     i.set_defaults(fn=cmd_identities)
 

@@ -41,10 +41,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_algebra import CyclicElement, antihol_form, hol_form, point
+from .exact_algebra import (CyclicElement, antihol_form, hol_form, perm_parity,
+                            point)
 from .geometry import (EllipticCurve, GreenSpec, RationalCurve, is_infinity,
                        INFINITY, levin_polylog, parse_point)
-from .tree_calculus import PlaneTree, _perm_parity, enumerate_trivalent_trees
+from .tree_calculus import PlaneTree, enumerate_trivalent_trees
 
 __all__ = [
     "CorrelatorRequest", "CorrelatorResult", "correlate", "multiple_green",
@@ -186,8 +187,6 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
     star weights, times the sign that sorts the slots of its wedge (A, then
     B, then the form edges) and the tree's `sign`.
     """
-    if not green_ids:               # a lone form-decorated edge
-        return [], {}
     m = len(green_ids) - 1
     fact = math.factorial
     scale = [float(Fraction((-1) ** a * fact(a) * fact(m - a), fact(m + 1))
@@ -217,8 +216,8 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
                     for s in (2 * v, 2 * v + 1)))
         A = sorted(g for g, s in slot.items() if s % 2 == 0)
         AB = A + sorted(g for g, s in slot.items() if s % 2)
-        coeff = scale[len(A)] * _perm_parity([j] + AB, range(m + 1))
-        wsign = _perm_parity([slot[g] for g in AB] + fixed_slots, range(2 * k))
+        coeff = scale[len(A)] * perm_parity([j] + AB, range(m + 1))
+        wsign = perm_parity([slot[g] for g in AB] + fixed_slots, range(2 * k))
         terms.append((coeff * wsign * sign, green_ids[j], tuple(blocks)))
     return terms, {e: tuple(need[g]) for g, e in enumerate(green_ids)}
 
@@ -279,7 +278,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
             return None
 
     green_ids = list(greens)
-    sign = _perm_parity(green_ids + [e for e, _, _ in specials], tree.edges())
+    sign = perm_parity(green_ids + [e for e, _, _ in specials], tree.edges())
     # kappa = internal vertices with no incident form edge
     kappa_vertices = k - len({v for _, v, _ in specials})
     terms, need = _slot_terms(k, greens, green_ids, fixed_slots, sign,
@@ -336,8 +335,6 @@ class _Mixture:
         if comp.k > 1:
             for root in range(comp.k):
                 parents = self._spanning(adj, root, comp.k)
-                if parents is None:
-                    continue
                 lo = len(comps)
                 comps.append(("chain", (root, parents), None))
                 for c in comp.anchors[root]:
@@ -389,8 +386,9 @@ class _Mixture:
     @staticmethod
     def _spanning(adj, root, k):
         """Parent links (child, parent) of a BFS spanning tree of the
-        internal-edge graph, parents first and children ascending, or None
-        if the variables are not connected through it."""
+        internal-edge graph, parents first and children ascending.  A tree's
+        internal edges all carry Green functions (forms sit on leaves) and
+        connect its k internal vertices, so the BFS reaches every one."""
         parents = [None] * k
         order, seen = [root], {root}
         for u in order:                 # grows while walked: a FIFO queue
@@ -399,8 +397,6 @@ class _Mixture:
                     seen.add(w)
                     parents[w] = u
                     order.append(w)
-        if len(order) != k:
-            return None
         return tuple((v, parents[v]) for v in order[1:])
 
     def _q_polar(self, d):

@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Letter", "Word", "AlgebraElement", "CyclicWord", "CyclicElement",
@@ -93,6 +93,26 @@ def add_into(acc: dict, key, c) -> None:
     `LinearCombination._from_canonical`."""
     old = acc.get(key)
     acc[key] = c if old is None else old + c
+
+
+def perm_parity(seq_from: Sequence, seq_to: Sequence) -> int:
+    """Sign (+1 or -1) of the permutation taking `seq_to` to `seq_from`,
+    two orderings of the same distinct items, from its cycle lengths."""
+    index = {e: i for i, e in enumerate(seq_to)}
+    perm = [index[e] for e in seq_from]
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
 
 
 class LinearCombination:

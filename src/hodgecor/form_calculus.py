@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact_algebra import LinearCombination, add_into
+from .exact_algebra import LinearCombination, add_into, perm_parity
 
 __all__ = [
     "FormSymbol", "FormPolynomial", "phi", "d", "db", "dC", "total_d",
@@ -169,15 +169,11 @@ def total_d(poly: FormPolynomial) -> FormPolynomial:
 
 def _alt_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
     """Sign of a permutation where swapping arguments i, j costs
-    (-1)^((deg_i+1)(deg_j+1)); reduces to the ordinary sign in degree 0."""
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                if ((degrees[perm[i]] + 1) * (degrees[perm[j]] + 1)) % 2:
-                    sign = -sign
-    return sign
+    (-1)^((deg_i+1)(deg_j+1)); reduces to the ordinary sign in degree 0.
+    The cost is odd only when both degrees are even, so this is the sign
+    of the even-degree arguments' order."""
+    even = [i for i in perm if degrees[i] % 2 == 0]
+    return perm_parity(even, sorted(even))
 
 
 def alt(template: Callable[[Sequence[int]], FormPolynomial],

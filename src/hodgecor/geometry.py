@@ -65,6 +65,11 @@ def parse_point(text: str) -> complex:
     return value
 
 
+# Gaussian regulators s of the conditionally convergent lattice sums, for
+# Richardson extrapolation to s = 0
+_REGULATORS = (0.02, 0.01, 0.005)
+
+
 def _richardson(regulators, values):
     """Value at regulator 0 of the least-squares quadratic through the
     (regulator, value) pairs; values may be real or complex."""
@@ -330,7 +335,7 @@ class EllipticCurve:
         return self.green_pair(z)[1]
 
     def green_lattice(self, z, radius: int = 80,
-                      regulators=(0.02, 0.01, 0.005)) -> float:
+                      regulators=_REGULATORS) -> float:
         """Gaussian-regulated lattice sum with Richardson extrapolation of
         the regulator to zero; slow-but-straightforward cross-check."""
         tau = complex(self.tau)
@@ -345,26 +350,27 @@ class EllipticCurve:
                 for s in regulators]
         return float(_richardson(regulators, vals))
 
-    def green_ewald(self, z, eta: float = 1.0) -> float:
+    def green_ewald(self, z) -> float:
         """Ewald-split evaluation of the same lattice sum, exact in the
-        regulator: the Gaussian tail is summed directly and the s -> 0 part
-        is Poisson-dualized into exponential integrals.  Independent of the
-        theta-product closed form; converges everywhere off the lattice.
+        regulator: split at eta = 1, the Gaussian tail is summed directly
+        and the s -> 0 part is Poisson-dualized into exponential integrals.
+        Independent of the theta-product closed form; converges everywhere
+        off the lattice.
         """
         from scipy.special import exp1
         tau = complex(self.tau)
         x, y = tau.real, tau.imag
         u, v = self.coords(complex(z))
-        # direct part: chi_z(gamma) e^{-eta |gamma|^2} / |gamma|^2
-        r_direct = int(math.ceil(math.sqrt(42.0 / eta) / min(1.0, y))) + 2
+        # direct part: chi_z(gamma) e^{-|gamma|^2} / |gamma|^2
+        r_direct = int(math.ceil(math.sqrt(42.0) / min(1.0, y))) + 2
         ms = np.arange(-r_direct, r_direct + 1)
         M, N = np.meshgrid(ms, ms, indexing="ij")
         gam = (M + N * tau)[(M != 0) | (N != 0)]
         a2 = np.abs(gam) ** 2
         direct = (y / np.pi) * np.sum(
-            self.chi(complex(z), gam).real * np.exp(-eta * a2) / a2)
+            self.chi(complex(z), gam).real * np.exp(-a2) / a2)
         # dual part: sum over the shifted dual lattice of E1 values
-        scale = np.pi ** 2 / (eta * y ** 2)
+        scale = np.pi ** 2 / y ** 2
         r_dual = int(math.ceil(math.sqrt(42.0 / scale) * (1 + abs(x) + y))) + 2
         js = np.arange(-r_dual, r_dual + 1)
         J, K = np.meshgrid(js, js, indexing="ij")
@@ -374,7 +380,7 @@ class EllipticCurve:
         w = scale * q
         keep = w < 500.0
         dual = float(np.sum(exp1(w[keep])))
-        return float(direct + dual - y * eta / np.pi)
+        return float(direct + dual - y / np.pi)
 
 
 CurveModel = RationalCurve | EllipticCurve
@@ -434,7 +440,7 @@ def green_arakelov_decomposition(curve: EllipticCurve, a, x, y):
 # polylogarithms
 # ----------------------------------------------------------------------
 
-def polylog(n: int, z: complex, tol: float = 1e-16) -> complex:
+def polylog(n: int, z: complex) -> complex:
     """Li_n(z) = sum_{k>=1} z^k / k^n by the Taylor series; needs |z| < 1.
 
     Li_1(z) sums to -log(1-z).
@@ -454,7 +460,7 @@ def polylog(n: int, z: complex, tol: float = 1e-16) -> complex:
         zk *= z
         t = zk / k ** n
         s += t
-        if abs(t) < tol * max(1.0, abs(s)):
+        if abs(t) < 1e-16 * max(1.0, abs(s)):
             break
     return s
 
@@ -528,27 +534,14 @@ def cross_ratio(z1, z2, z3, z4) -> complex:
                             and complex(pts[i]) == complex(pts[j])):
                 raise ValueError("cross-ratio needs pairwise distinct points")
 
-    def diff(u, v):
-        # (u - v) with projective conventions; infinities cancel in ratios
-        if is_infinity(u) and is_infinity(v):
-            raise ValueError("indeterminate")
-        if is_infinity(u) or is_infinity(v):
-            return None  # marker for an infinite factor
-        return complex(u) - complex(v)
+    def finite(pairs):
+        return [complex(u) - complex(v) for u, v in pairs
+                if not is_infinity(u) and not is_infinity(v)]
 
-    num1, num2 = diff(z1, z3), diff(z2, z4)
-    den1, den2 = diff(z1, z4), diff(z2, z3)
-    # each None cancels against exactly one None on the other side
-    nums = [d for d in (num1, num2) if d is not None]
-    dens = [d for d in (den1, den2) if d is not None]
-    n_inf_num = 2 - len(nums)
-    n_inf_den = 2 - len(dens)
-    val = np.prod(nums) / np.prod(dens)
-    if n_inf_num == n_inf_den:
-        return complex(val)
-    if n_inf_num > n_inf_den:
-        return INFINITY
-    return 0j
+    # each point sits in one numerator and one denominator factor, and at
+    # most one point is infinite, so its two infinite factors cancel
+    return complex(np.prod(finite(((z1, z3), (z2, z4))))
+                   / np.prod(finite(((z1, z4), (z2, z3)))))
 
 
 # ----------------------------------------------------------------------
@@ -578,8 +571,7 @@ def _lattice(curve: EllipticCurve, radius: int):
     return gam[np.abs(gam) <= radius]
 
 
-def eisenstein_kronecker(curve: EllipticCurve, idx: EKIndex, radius: int = 200,
-                         regulators=(0.02, 0.01, 0.005)):
+def eisenstein_kronecker(curve: EllipticCurve, idx: EKIndex, radius: int = 200):
     """The lattice sum  sum_{gamma != 0} chi_a(gamma) / (gamma^{p+1}
     conj(gamma)^{q+1}), plus a crude truncation-error estimate.
 
@@ -590,9 +582,9 @@ def eisenstein_kronecker(curve: EllipticCurve, idx: EKIndex, radius: int = 200,
     """
     p, q = idx.p, idx.q
     if p + q == 0:
-        g = curve.green_lattice(idx.a, radius=min(radius, 120), regulators=regulators)
+        g = curve.green_lattice(idx.a, radius=min(radius, 120))
         vals = [curve.green_lattice(idx.a, radius=min(radius, 120),
-                                    regulators=regulators[:2]), g]
+                                    regulators=_REGULATORS[:2]), g]
         return complex(g * np.pi / curve.im_tau), abs(vals[1] - vals[0]) * np.pi / curve.im_tau
     gam = _lattice(curve, radius)
     ch = curve.chi(complex(idx.a), gam)
@@ -626,11 +618,10 @@ def ek_generating_series(curve: EllipticCurve, a, t, truncation: int = 8,
     gam = _lattice(curve, radius)
     ch = curve.chi(complex(a), gam)
     t = complex(t)
-    regs = (0.02, 0.01, 0.005)
     d2 = np.abs(gam - t) ** 2
     a2 = np.abs(gam) ** 2
-    vals = [complex(pref * np.sum(ch * np.exp(-s * a2) / d2)) for s in regs]
-    direct = complex(_richardson(regs, vals))
+    vals = [complex(pref * np.sum(ch * np.exp(-s * a2) / d2)) for s in _REGULATORS]
+    direct = complex(_richardson(_REGULATORS, vals))
 
     series = 0j
     for p in range(1, truncation + 1):

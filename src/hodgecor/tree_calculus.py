@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact_algebra import (
-    CyclicElement, CyclicWord, Letter, LinearCombination, add_into, sympl_p,
-    sympl_q,
+    CyclicElement, CyclicWord, Letter, LinearCombination, add_into,
+    perm_parity, sympl_p, sympl_q,
 )
 
 __all__ = [
@@ -81,24 +81,6 @@ def _complement(arc, npos: int) -> tuple:
 def _inside(a, b, npos: int) -> bool:
     """Is the arc a contained in the proper arc b?"""
     return (a[0] - b[0]) % npos + _arc_len(a, npos) <= _arc_len(b, npos)
-
-
-def _perm_parity(seq_from: Sequence, seq_to: Sequence) -> int:
-    index = {e: i for i, e in enumerate(seq_to)}
-    perm = [index[e] for e in seq_from]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _structure(npos: int, intervals) -> tuple:
@@ -203,7 +185,7 @@ class PlaneTree:
             for r in winners[1:]:
                 image = [edge_id((e[1], e[1]) if e[0] == "leaf" else e[1], r - r0)
                          for e in order0]
-                if _perm_parity(image, order0) < 0:
+                if perm_parity(image, order0) < 0:
                     null = True
                     break
         tree = PlaneTree(word, intervals, null, structure)
@@ -309,7 +291,7 @@ def _reorder_parity(trees: Sequence[PlaneTree], perm: list,
     components taken in the order `perm`."""
     if edge_order is None:
         edge_order = [(ci, e) for ci, t in enumerate(trees) for e in t.edges()]
-    return _perm_parity(edge_order, [(ci, e) for ci in perm for e in trees[ci].edges()])
+    return perm_parity(edge_order, [(ci, e) for ci in perm for e in trees[ci].edges()])
 
 
 def _null_forest(trees: tuple) -> bool:
@@ -474,7 +456,7 @@ def _differential_component(trees: tuple, a: int, basis: CasimirBasis, out):
         whose lone edge realizes an inherited edge adds no new edge."""
         arcs = [_branch_arcs(T, br) for br in branches]
         groups = [[e for e in m if e != edge] for m in arcs]
-        coeff *= _perm_parity(rest, [e for g in groups for e in g])
+        coeff *= perm_parity(rest, [e for g in groups for e in g])
         for letters, sign in closings:
             pieces, new, old = [], [], []
             for i, (br, x, m, g) in enumerate(zip(branches, letters, arcs, groups)):
@@ -663,9 +645,10 @@ def _tree_adjacency(t: PlaneTree):
 def abstract_projection(v: ForestVector) -> dict:
     """Image in the complex of abstract (non-plane) decorated trees.
 
-    Each tree is re-rooted at its minimal decoration and children are sorted
-    by their recursive shape keys; the orientation sign is the parity between
-    the plane-canonical edge order and the abstract DFS order.  Intended for
+    Each tree is rooted at the leaf at position 0, whose letter is minimal
+    in the canonical rotation, and children are sorted by their recursive
+    shape keys; the orientation sign is the parity between the
+    plane-canonical edge order and the abstract DFS order.  Intended for
     distinct leaf decorations (shuffle-relation checks), where the sorting is
     unambiguous.
     """
@@ -676,40 +659,21 @@ def abstract_projection(v: ForestVector) -> dict:
         for t in trees:
             adj = _tree_adjacency(t)
             letters = t.letters()
-            root = min((("leaf", p) for p in range(t.n + 1)),
-                       key=lambda s: letters[s[1]]._key())
-            order = []
 
-            def rec(vtx, parent_edge):
-                shapes = []
-                for e, w in adj[vtx]:
-                    if e == parent_edge:
-                        continue
-                    shapes.append((self_key(w, e), e, w))
-                shapes.sort(key=lambda x: x[0])
-                for sk, e, w in shapes:
-                    order.append(e)
-                    rec(w, e)
-                return shapes
-
-            def self_key(vtx, parent_edge):
+            def walk(vtx, parent_edge):
+                """(shape key, edges below vtx in abstract DFS order) of the
+                subtree hanging from vtx; children sorted stably by key."""
                 if vtx[0] == "leaf":
-                    return ("leaf", letters[vtx[1]]._key())
-                subs = []
-                for e, w in adj[vtx]:
-                    if e == parent_edge:
-                        continue
-                    subs.append(self_key(w, e))
-                return ("node", tuple(sorted(subs)))
+                    return ("leaf", letters[vtx[1]]._key()), []
+                subs = sorted((walk(w, e) + (e,) for e, w in adj[vtx]
+                               if e != parent_edge), key=lambda sub: sub[0])
+                return (("node", tuple(key for key, _, _ in subs)),
+                        [x for _, below, e in subs for x in (e, *below)])
 
-            root_edge = ("leaf", root[1]) if t.n > 1 else ("leaf", 0)
-            order.append(root_edge)
-            other = [w for e, w in adj[root] if e == root_edge]
-            if t.n > 1:
-                rec(other[0], root_edge)
-            keys.append((letters[root[1]]._key(), self_key(other[0], root_edge)
-                         if t.n > 1 else ("leaf", letters[1]._key())))
-            sign *= _perm_parity(order, t.edges())
+            (root_edge, top), = adj[("leaf", 0)]
+            shape, below = walk(top, root_edge)
+            keys.append((letters[0]._key(), shape))
+            sign *= perm_parity([root_edge, *below], t.edges())
         key = tuple(sorted(keys))
         sign *= _reorder_parity(trees, sorted(range(len(trees)), key=lambda i: keys[i]))
         add_into(out, key, coeff * sign)

@@ -152,7 +152,7 @@ class TestCorrelator:
         assert code == 3
         assert "coincide" in capsys.readouterr().err
 
-    def test_p1_finite_base_with_point_at_infinity(self, tmp_path):
+    def test_p1_finite_base_with_point_at_infinity(self, tmp_path, capsys):
         out = tmp_path / "res.json"
         code = main([
             "correlator", "--curve", "p1", "--mu", "delta:2",
@@ -174,6 +174,7 @@ class TestCorrelator:
         assert np.isfinite(payload["stderr"])
         assert abs(val) <= 4 * payload["stderr"]
         assert code == 4
+        assert "is above half of |value|" in capsys.readouterr().err
 
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):

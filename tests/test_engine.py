@@ -11,13 +11,15 @@ from hodgecor.engine import (
     correlate, cyclic_polylog_series, elliptic_correlator, integrand,
     levin_reference, multiple_green, symmetric_form_word,
 )
-from hodgecor.exact_algebra import CyclicElement, antihol_form, hol_form, point
+from hodgecor.exact_algebra import (
+    CyclicElement, antihol_form, hol_form, perm_parity, point,
+)
 from hodgecor.form_calculus import omega_terms
 from hodgecor.geometry import (
     INFINITY, EllipticCurve, GreenSpec, RationalCurve, cross_ratio,
     ek_correlator_value, green, is_infinity, single_valued_polylog,
 )
-from hodgecor.tree_calculus import _perm_parity, enumerate_trivalent_trees
+from hodgecor.tree_calculus import enumerate_trivalent_trees
 
 P1 = RationalCurve()
 DINF = GreenSpec.delta(INFINITY)
@@ -327,7 +329,7 @@ def _omega_filter_terms(comp, req):
             slots = [2 * v + (0 if h > 0 else 1) for (_, v, h) in pick] + fixed
             if len(set(slots)) != len(slots) or len(slots) != 2 * comp.k:
                 continue
-            wsign = _perm_parity(slots, sorted(slots))
+            wsign = perm_parity(slots, sorted(slots))
             terms.append((float(coeff) * wsign * comp.sign,
                           comp.green_ids[j], tuple(pick)))
     return terms
@@ -626,20 +628,41 @@ def test_mixture_matches_reference(req):
 
 
 def test_spanning_matches_reference():
-    """The BFS visit order is already parents first: random trees and
-    disconnected graphs on up to 8 vertices give the reference's links."""
+    """The BFS visit order is already parents first: random trees on up to
+    8 vertices give the reference's links.  Only trees: a decorated tree's
+    internal vertices are always connected by its internal edges."""
     rng = np.random.default_rng(5)
     for _ in range(300):
         k = int(rng.integers(1, 9))
         adj = {v: set() for v in range(k)}
         for w in range(1, k):
-            if rng.random() < 0.95:
-                v = int(rng.integers(0, w))
-                adj[v].add(w)
-                adj[w].add(v)
+            v = int(rng.integers(0, w))
+            adj[v].add(w)
+            adj[w].add(v)
         for root in range(k):
             assert (_Mixture._spanning(adj, root, k)
                     == _reference_spanning(adj, root, k))
+
+
+def test_one_chain_group_per_root():
+    """Every tree's internal edges span its internal vertices, so a mixture
+    with k > 1 vertices has k chain groups, rooted at 0..k-1 in turn."""
+    cases = [CorrelatorRequest(P1, DINF, *_p1_points_word(n))
+             for n in range(3, 7)]
+    eight = {f"p{i}": 0.3 * i + 0.2j * i * i for i in range(8)}
+    cases += [CorrelatorRequest(P1, DINF, CyclicElement.from_word(
+        [point(lab) for lab in list(eight)[:n]]), eight) for n in (7, 8)]
+    cases.append(CorrelatorRequest(
+        EllipticCurve(1j), GreenSpec.volume(),
+        symmetric_form_word(["o", "a", "b"], [(0, 0), (1, 1), (2, 1)]),
+        {"o": 0.0, "a": 0.31 + 0.17j, "b": 0.55 + 0.62j}))
+    built = set()
+    for req in cases:
+        for _, comp, mix in _mixtures(req):
+            roots = [mix.comps[lo][1][0] for lo, _, _ in mix._chains]
+            assert roots == (list(range(comp.k)) if comp.k > 1 else [])
+            built.add(comp.k)
+    assert built == set(range(1, 7))
 
 
 def _normalisation_cases():
@@ -655,7 +678,7 @@ def _normalisation_cases():
                          ids=[c[0] for c in _normalisation_cases()])
 def test_mixture_density_normalises(req):
     """E[prod global_density(A) / density(A)] = 1 for A drawn from the
-    mixture; the ratio is at most 1/glob_w = 4."""
+    mixture; the ratio is at most 1/_GLOB_W = 4."""
     for i, comp, mix in _mixtures(req):
         A, _ = mix.draw(np.random.default_rng([41, i, comp.k]), 1 << 16)
         ratio = mix.curve.global_density(A).prod(axis=1) / mix.density(A)

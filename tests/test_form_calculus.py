@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -84,6 +85,30 @@ def test_transposition_sign_degree_one():
     # (|f|+1)(|g|+1) = 4 for degrees (1,1): transposition costs +1
     assert _alt_sign([1, 0], [1, 1]) == 1
     assert _alt_sign([1, 0], [0, 0]) == -1
+
+
+def _alt_sign_by_inversions(perm, degrees):
+    """Reference: each inversion (i, j) costs (-1)^((deg_i+1)(deg_j+1))."""
+    sign = 1
+    for x, y in itertools.combinations(perm, 2):
+        if x > y and (degrees[x] + 1) * (degrees[y] + 1) % 2:
+            sign = -sign
+    return sign
+
+
+def _degree_vectors():
+    for n in range(1, 5):
+        yield from itertools.product(range(3), repeat=n)
+    yield from ([0] * 5, [1] * 5, [2, 0, 1, 0, 2], [1, 2, 2, 0, 1],
+                [0] * 6, [1] * 6, [2, 0, 1, 0, 1, 2], [0, 2, 1, 1, 2, 0])
+
+
+def test_alt_sign_matches_inversion_count():
+    """Over every permutation of up to 6 arguments, with mixed degrees."""
+    for degrees in _degree_vectors():
+        for perm in itertools.permutations(range(len(degrees))):
+            assert _alt_sign(perm, degrees) == \
+                _alt_sign_by_inversions(perm, degrees), (perm, degrees)
 
 
 def test_alt_projector_scaling():

@@ -297,6 +297,27 @@ class TestCrossRatio:
         with pytest.raises(ValueError):
             cross_ratio(1, 1, 2, 3)
 
+    @pytest.mark.parametrize("pos", range(4))
+    def test_one_infinity_keeps_the_finite_factors(self, pos):
+        """An infinite point's numerator and denominator factors cancel:
+        r = (z1-z3)(z2-z4) / ((z1-z4)(z2-z3)) less those two factors."""
+        z = [0.3 + 1j, 2.0 - 0.5j, -1.1, 4.2 + 0.2j]
+        z[pos] = INFINITY
+        factors = {(0, 2): 1, (1, 3): 1, (0, 3): -1, (1, 2): -1}
+        expected = 1 + 0j
+        for (i, j), power in factors.items():
+            if pos not in (i, j):
+                expected *= (z[i] - z[j]) ** power
+        assert cross_ratio(*z) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("z", [
+        (INFINITY, INFINITY, 1, 2), (0, INFINITY, 1, INFINITY),
+        (0.5, 1, 2, 0.5), (INFINITY, 3j, 3j, 1),
+    ])
+    def test_two_infinities_or_a_repeat_raise(self, z):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            cross_ratio(*z)
+
 
 class TestEisensteinKronecker:
     def test_chi_trivial_at_zero(self):

@@ -1,5 +1,6 @@
 """Golden outputs of the exact side: sha256 of the canonical text of omega_4,
-omega_5, xi_4, eta_4, the five omega*_{a,4-a}, the cobracket, tree sum and its differential on three fixed words,
+omega_5, xi_4, eta_4, the five omega*_{a,4-a}, the cobracket, tree sum and its
+differential on three fixed words and their abstract (non-plane) projections,
 the special derivation, bracket and cyclic derivatives of two fixed cyclic
 elements, and the dilogarithm coproduct.  Any change to a sign, a
 coefficient or a canonical form changes a digest."""
@@ -15,7 +16,9 @@ from hodgecor.exact_algebra import (
     partial_derivative, point,
 )
 from hodgecor.form_calculus import omega, omega_star, pretty, xi_eta
-from hodgecor.tree_calculus import CasimirBasis, cobracket, differential, tree_sum_map
+from hodgecor.tree_calculus import (
+    CasimirBasis, abstract_projection, cobracket, differential, tree_sum_map,
+)
 
 BASIS = CasimirBasis.symplectic(1)
 X, Y, Z = (point(s) for s in "xyz")
@@ -70,6 +73,26 @@ def test_trees_golden(word, expected):
     forests = tree_sum_map(w)
     got = (digest(repr(cobracket(w, BASIS))), digest(repr(forests)),
            digest(repr(differential(forests, BASIS))))
+    assert got == expected
+
+
+@pytest.mark.parametrize("word,expected", [
+    ([X, Y, Z], (
+        "c5fd34c99705df319650f2adad49d7fd9ac1df9210b8e74fd8db96dc18153083",
+        "bafefe6e203297c420c2b489017ec3cf86e725f396661fd8cdab3400a989a949")),
+    ([X, P1, Y, Q1], (
+        "ac8978edd14749da851a2c384e63e341678fba53015d624c54bc74bee7db8cbf",
+        "3f3fd0beefbbde22f5e632248fd5b1d560c38aa949401710b85a4c21c44d352b")),
+    ([X, X, Y, Q1, Z], (
+        "5e77d7eb76c9361ecde2b437c5d89fdf273b17770873fdbea5a12363f99a039b",
+        "2fdb3946ff4de899c6b9dd523889ce7129ef7ab0e08ca9bd8920ceaba3f5701d")),
+])
+def test_projection_golden(word, expected):
+    """The abstract projection of the tree sum and of its differential: the
+    shape keys and the orientation signs, not only whether it vanishes."""
+    forests = tree_sum_map(CyclicElement.from_word(word))
+    got = tuple(digest(repr(sorted(abstract_projection(v).items())))
+                for v in (forests, differential(forests, BASIS)))
     assert got == expected
 
 
