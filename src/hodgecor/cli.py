@@ -300,12 +300,8 @@ def main(argv=None) -> int:
     c.add_argument("--point", action="append",
                    help="label=value bindings for s:<label> letters")
     c.add_argument("--samples", type=_positive_int, default=1 << 18,
-                   help="samples per tree; a tree runs at least 8 batches "
-                        "of 1,024-16,384 rows (qmc rounds a batch up to a "
-                        "power of two), so below 8,192 it runs 8,192, and "
-                        "the result's samples is the count run; batches are "
-                        "evaluated in blocks of up to 4,096 rows, which "
-                        "changes no value since each batch keeps its seed")
+                   help="samples per tree; a tree runs at least 8,192, "
+                        "and the result's samples is the count run")
     # numpy seeds are non-negative integers
     c.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"),
                    default=0)

@@ -9,13 +9,13 @@ the top-degree part is integrated (for k internal vertices and no special
 edges, the top part of omega_2k), so each internal vertex takes exactly one
 dz and one dz-bar factor, each from a different incident edge; the one Green
 edge that takes neither is the undifferentiated G_j.  For a fixed j the
-other Green edges form a forest, so there is exactly one way (or none) to
-hand them to the vertices, each vertex receiving one per free slot.  The
-monomials of j then factor by vertex: `compile_tree` emits one term per j,
-c_j G_j times one block per vertex, the 2x2 determinant
+other Green edges form a forest, so there is exactly one way to hand them
+to the vertices, each vertex receiving one per free slot (`_slot_terms`).
+The monomials of j then factor by vertex: `compile_tree` emits one term per
+j, c_j G_j times one block per vertex, the 2x2 determinant
 d G_a db G_b - d G_b db G_a of the two edges a vertex receives, or a single
 d G / db G where a form holds the other slot.  A tree with m+1 Green edges
-has at most m+1 terms.
+has m+1 terms.
 
 Normalization.  `raw` returns the plain tree sum of honest integrals (top
 form against the standard orientation of the product).  `2pii` multiplies by
@@ -129,11 +129,11 @@ class _CompiledTree:
 def _orientation(ends, j, cap):
     """The one way of handing each Green edge g != j to one of its internal
     ends with vertex v receiving cap[v] edges, as owner[g] = (end position,
-    vertex) and owner[j] = None, or None if there is no such way.  ends[g]
-    lists the (position, vertex) of g's internal ends.  An edge with one
-    internal end goes there; the rest form a forest on the vertices, peeled
-    from its leaves: the edge at a vertex of degree one goes to that vertex
-    if it still lacks an edge, else to its other end."""
+    vertex) and owner[j] = None; `_slot_terms` shows that it exists.
+    ends[g] lists the (position, vertex) of g's internal ends.  An edge with
+    one internal end goes there; the rest form a forest on the vertices,
+    peeled from its leaves: the edge at a vertex of degree one goes to that
+    vertex if it still lacks an edge, else to its other end."""
     cap = list(cap)
     owner = [None] * len(ends)
     at = [set() for _ in cap]
@@ -158,14 +158,14 @@ def _orientation(ends, j, cap):
         cap[owner[g][1]] -= 1
         if len(at[far[1]]) == 1:
             leaves.append(far[1])
-    return None if any(cap) else owner
+    return owner
 
 
 def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
     """Terms (coeff, G_j edge, blocks) of the top-degree part of omega_m
-    over the m+1 Green edges, one per undifferentiated edge G_j that has a
-    top-degree term, sorted by j, and the (need_dx, need_dy) flags of each
-    Green edge: which ends' derivatives some term uses.
+    over the m+1 Green edges, one per undifferentiated edge G_j, sorted by
+    j, and the (need_dx, need_dy) flags of each Green edge: which ends'
+    derivatives some term uses.
 
     Vertex v owns slot 2v (its dz) and slot 2v+1 (its dz-bar); the slots
     not pre-filled by a form-decorated edge are its free slots.  A monomial
@@ -173,16 +173,20 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
     holds a distinct incident Green edge, so the m edges other than j go to
     one of their ends each, vertex v receiving as many as it has free
     slots.  Those edges form a forest, so there is at most one such
-    orientation (two would differ along a cycle); `_orientation` finds it.
-    What is left is which of its two received edges a two-slot vertex puts
-    on dz.  Swapping them swaps two slots of the wedge, so it flips the
-    sign, and |A| (k minus the dz forms) does not move.  So the 2^k'
-    monomials of j sum to one product of blocks (v, a, b), one per vertex
-    with a free slot: a the edge on its dz slot, b the edge on its dz-bar
-    slot, None where a form holds the slot.  When both are edges, a comes
-    before b in green_ids and the block is the 2x2 determinant
-    d_v G_a db_v G_b - d_v G_b db_v G_a.  The coefficient is that of the
-    monomial in which each such a takes its dz:
+    orientation (two would differ along a cycle), and Hall's theorem gives
+    one for every j: vertex v meets free[v] + 1 Green edges (a form letter
+    fills one slot; equal letters are pruned), so vertices whose induced
+    forest has c components meet free + c of them, still at least their
+    free count without G_j, and the m edges match the free slots in number.
+    `_orientation` finds it.  What is left is which of its two received
+    edges a two-slot vertex puts on dz.  Swapping them swaps two slots of
+    the wedge, so it flips the sign, and |A| (k minus the dz forms) does
+    not move.  So the 2^k' monomials of j sum to one product of blocks
+    (v, a, b), one per vertex with a free slot: a the edge on its dz slot,
+    b the edge on its dz-bar slot, None where a form holds the slot.  When
+    both are edges, a comes before b in green_ids and the block is the 2x2
+    determinant d_v G_a db_v G_b - d_v G_b db_v G_a.  The coefficient is
+    that of the monomial in which each such a takes its dz:
     (-1)^|A| |A|! (m-|A|)! sgn([j]+A+B) / (m+1)!, times C(m, |A|) for the
     star weights, times the sign that sorts the slots of its wedge (A, then
     B, then the form edges) and the tree's `sign`.
@@ -199,8 +203,6 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
     terms = []
     for j in range(m + 1):
         owner = _orientation(ends, j, [len(f) for f in free])
-        if owner is None:
-            continue
         got = [[] for _ in range(k)]        # received Green indices, ascending
         for g, o in enumerate(owner):
             if o is not None:
@@ -569,38 +571,15 @@ def _singular_mask(comp: _CompiledTree, curve, pts):
     return bad
 
 
-def _draw_block(mix, req, rngs, batch):
-    """The uniform matrix of a block: batch b's rows drawn by its own
-    generator, from a scrambled Sobol engine seeded by it under qmc."""
-    if req.scheme == "qmc":
+def _first_draw(scheme, rng, out):
+    """Fill `out`, one batch's rows of its block's uniform matrix, from the
+    batch's generator: under qmc through a Sobol engine it seeds, scrambled
+    per batch so the batch spread stays a valid error estimate."""
+    if scheme == "qmc":
         from scipy.stats import qmc
-    U = np.empty((len(rngs) * batch, mix.uniform_dim()))
-    for i, rng in enumerate(rngs):
-        if req.scheme == "qmc":
-            # independently scrambled Sobol per batch: unbiased, and the
-            # batch spread remains a valid error estimate
-            sobol = qmc.Sobol(d=mix.uniform_dim(), scramble=True, seed=rng)
-            U[i * batch:(i + 1) * batch] = sobol.random(batch)
-        else:
-            rng.random(out=U[i * batch:(i + 1) * batch])
-    return U
-
-
-def _redraw(comp, curve, mix, rngs, batch, A, B):
-    """Redraw the rows of a block on a Green-function singularity, each from
-    its batch's generator, for up to 8 rounds; returns (rows redrawn, rows
-    still singular after the last round)."""
-    rejected = 0
-    for round_ in range(9):
-        bad = (_singular_mask(comp, curve, A) | _singular_mask(comp, curve, B))
-        nb = int(bad.sum())
-        if nb == 0 or round_ == 8:
-            return rejected, nb
-        rejected += nb
-        for i, rng in enumerate(rngs):
-            rows = np.flatnonzero(bad[i * batch:(i + 1) * batch]) + i * batch
-            if len(rows):
-                A[rows], B[rows] = mix.draw(rng, len(rows))
+        out[:] = qmc.Sobol(out.shape[1], scramble=True, seed=rng).random(len(out))
+    else:
+        rng.random(out=out)
 
 
 def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
@@ -612,7 +591,8 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     how batches are grouped: consecutive batches share one block of at
     most `_BLOCK` rows, and each block makes one `build`, one
     `_singular_mask` pass per redraw round and one `integrand`/`density`
-    call per antithetic half."""
+    call per antithetic half.  A redraw round redraws each batch's rows on
+    a singularity from the batch's generator, under either scheme."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
@@ -633,20 +613,39 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     for b0 in range(0, nbatches, per_block):
         rngs = [np.random.default_rng([req.seed, tree_index, b, 0x9e3779b9])
                 for b in range(b0, min(b0 + per_block, nbatches))]
-        A, B = mix.build(_draw_block(mix, req, rngs, batch))
-        rej, res = _redraw(comp, req.curve, mix, rngs, batch, A, B)
-        rejected += rej
-        residual += res
+        U = np.empty((len(rngs) * batch, mix.uniform_dim()))
+        for i, rng in enumerate(rngs):
+            _first_draw(req.scheme, rng, U[i * batch:(i + 1) * batch])
+        A, B = mix.build(U)
+        del U                   # not held through the integrand's peak
+        for round_ in range(9):
+            bad = (_singular_mask(comp, req.curve, A)
+                   | _singular_mask(comp, req.curve, B))
+            nb = int(bad.sum())
+            if nb == 0 or round_ == 8:
+                break
+            rejected += nb
+            for i, rng in enumerate(rngs):
+                rows = np.flatnonzero(bad[i * batch:(i + 1) * batch]) + i * batch
+                if len(rows):
+                    A[rows], B[rows] = mix.draw(rng, len(rows))
+        residual += nb
         w = 0.5 * (integrand(comp, req, A) / mix.density(A)
                    + integrand(comp, req, B) / mix.density(B))
-        for i in range(len(rngs)):
-            means[b0 + i] = w[i * batch:(i + 1) * batch].mean()
+        means[b0:b0 + len(rngs)] = w.reshape(len(rngs), batch).mean(axis=1)
     value = complex(np.mean(means))
     se = float(np.sqrt((np.var(means.real) + np.var(means.imag)) / nbatches))
     return value, se, nbatches * batch, (rejected, residual)
 
 
 def _validate_request(req: CorrelatorRequest):
+    for name, allowed in (("scheme", ("mc", "qmc")),
+                          ("normalization", ("raw", "2pii", "star"))):
+        if getattr(req, name) not in allowed:
+            raise ValueError(f"unknown {name} {getattr(req, name)!r}; "
+                             f"expected one of {', '.join(allowed)}")
+    if req.samples < 1:
+        raise ValueError(f"samples must be at least 1, not {req.samples}")
     curve = req.curve
     curve.check_measure(req.green)
 

@@ -337,3 +337,15 @@ def test_rows_left_singular_exit_4(monkeypatch, capsys):
     assert code == 4
     assert "8 sample rows" in err
     assert json.loads(out)["metadata"]["residual_singular"] == 8
+
+
+def test_raw_normalization_exit_0(tmp_path):
+    """`--normalization raw` runs and reports the plain tree sum."""
+    out = tmp_path / "raw.json"
+    code = main(["correlator", "--word", "C(s:0 s:1 s:0.3+0.1i)",
+                 "--normalization", "raw", "--samples", "8192", "--seed", "3",
+                 "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["metadata"]["normalization"] == "raw"
+    assert payload["request"]["normalization"] == "raw"
