@@ -13,8 +13,8 @@ from .form_calculus import (
 )
 from .tree_calculus import (
     CasimirBasis, ForestVector, OrientedForest, PlaneTree, Wedge2,
-    abstract_projection, canonical_orientation, cobracket, cobracket_squared,
-    differential, enumerate_trivalent_trees, tree_sum_ext, tree_sum_map,
+    abstract_projection, cobracket, cobracket_squared, differential,
+    enumerate_trivalent_trees, tree_sum_ext, tree_sum_map,
 )
 from .derivations import (
     AlphabetSpec, Derivation, kappa, kernel_check, lie_bracket, morphism_check,

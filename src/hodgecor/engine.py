@@ -8,14 +8,14 @@ of the curve per internal vertex by importance-sampled Monte Carlo.  Only
 the top-degree part is integrated (for k internal vertices and no special
 edges, the top part of omega_2k), so each internal vertex takes exactly one
 dz and one dz-bar factor, each from a different incident edge; the one Green
-edge that takes neither is the undifferentiated G_j.  For a fixed j the
-other Green edges form a forest, so there is exactly one way to hand them
-to the vertices, each vertex receiving one per free slot (`_slot_terms`).
-The monomials of j then factor by vertex: `compile_tree` emits one term per
-j, c_j G_j times one block per vertex, the 2x2 determinant
-d G_a db G_b - d G_b db G_a of the two edges a vertex receives, or a single
-d G / db G where a form holds the other slot.  A tree with m+1 Green edges
-has m+1 terms.
+edge that takes neither is the undifferentiated G_j.  For a fixed j there
+is exactly one way to hand the other Green edges to the vertices, each
+vertex receiving one per free slot: every edge goes to its end nearer G_j
+(`_slot_terms`).  The monomials of j then factor by vertex: `compile_tree`
+emits one term per j, c_j G_j times one block per vertex, the 2x2
+determinant d G_a db G_b - d G_b db G_a of the two edges a vertex
+receives, or a single d G / db G where a form holds the other slot.  A
+tree with m+1 Green edges has m+1 terms.
 
 Normalization.  `raw` returns the plain tree sum of honest integrals (top
 form against the standard orientation of the product).  `2pii` multiplies by
@@ -49,8 +49,8 @@ from .tree_calculus import PlaneTree, enumerate_trivalent_trees
 
 __all__ = [
     "CorrelatorRequest", "CorrelatorResult", "correlate", "multiple_green",
-    "cyclic_polylog_series", "elliptic_correlator", "symmetric_form_word",
-    "compile_tree", "integrand",
+    "cyclic_polylog_series", "cyclic_polylog_table", "elliptic_correlator",
+    "symmetric_form_word", "compile_tree", "integrand",
 ]
 
 
@@ -110,7 +110,10 @@ class _CompiledTree:
     (need_dx, need_dy) derivative flags.  `anchors[v]` lists the distinct
     finite points where vertex v's Green functions blow up and `pairs` the
     internal edges (v, w): the sampler centres its components there, and
-    `_singular_mask` rejects rows on them.
+    `_singular_mask` rejects rows on them.  `spanning[r]` lists the parent
+    links (child, parent) of the internal edges walked from vertex r: an
+    edge's parent end is its end nearer r, where `_slot_terms` hands it
+    when G_j ends at r, and the sampler hangs its chains on them.
     """
 
     tree: PlaneTree
@@ -123,45 +126,27 @@ class _CompiledTree:
     sign: int
     anchors: list
     pairs: list
+    spanning: list
     kappa_vertices: int
 
 
-def _orientation(ends, j, cap):
-    """The one way of handing each Green edge g != j to one of its internal
-    ends with vertex v receiving cap[v] edges, as owner[g] = (end position,
-    vertex) and owner[j] = None; `_slot_terms` shows that it exists.
-    ends[g] lists the (position, vertex) of g's internal ends.  An edge with
-    one internal end goes there; the rest form a forest on the vertices,
-    peeled from its leaves: the edge at a vertex of degree one goes to that
-    vertex if it still lacks an edge, else to its other end."""
-    cap = list(cap)
-    owner = [None] * len(ends)
-    at = [set() for _ in cap]
-    for g, ge in enumerate(ends):
-        if g == j:
-            continue
-        if len(ge) == 1:
-            owner[g] = ge[0]
-            cap[ge[0][1]] -= 1
-        else:
-            for _, v in ge:
-                at[v].add(g)
-    leaves = [v for v, s in enumerate(at) if len(s) == 1]
-    while leaves:
-        v = leaves.pop()
-        if len(at[v]) != 1:
-            continue
-        g = at[v].pop()
-        near, far = ends[g] if ends[g][0][1] == v else ends[g][::-1]
-        at[far[1]].discard(g)
-        owner[g] = near if cap[v] > 0 else far
-        cap[owner[g][1]] -= 1
-        if len(at[far[1]]) == 1:
-            leaves.append(far[1])
-    return owner
+def _spanning(adj, root, k):
+    """Parent links (child, parent) of a BFS spanning tree of the
+    internal-edge graph, parents first and children ascending.  A tree's
+    internal edges all carry Green functions (forms sit on leaves) and
+    connect its k internal vertices, so the BFS reaches every one."""
+    parents = [None] * k
+    order, seen = [root], {root}
+    for u in order:                     # grows while walked: a FIFO queue
+        for w in sorted(adj[u]):
+            if w not in seen:
+                seen.add(w)
+                parents[w] = u
+                order.append(w)
+    return tuple((v, parents[v]) for v in order[1:])
 
 
-def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
+def _slot_terms(k, greens, green_ids, fixed_slots, sign, star, spanning):
     """Terms (coeff, G_j edge, blocks) of the top-degree part of omega_m
     over the m+1 Green edges, one per undifferentiated edge G_j, sorted by
     j, and the (need_dx, need_dy) flags of each Green edge: which ends'
@@ -172,21 +157,22 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
     phi_j d phi_A db phi_B of omega_m is top-degree when every free slot
     holds a distinct incident Green edge, so the m edges other than j go to
     one of their ends each, vertex v receiving as many as it has free
-    slots.  Those edges form a forest, so there is at most one such
-    orientation (two would differ along a cycle), and Hall's theorem gives
-    one for every j: vertex v meets free[v] + 1 Green edges (a form letter
-    fills one slot; equal letters are pruned), so vertices whose induced
-    forest has c components meet free + c of them, still at least their
-    free count without G_j, and the m edges match the free slots in number.
-    `_orientation` finds it.  What is left is which of its two received
-    edges a two-slot vertex puts on dz.  Swapping them swaps two slots of
-    the wedge, so it flips the sign, and |A| (k minus the dz forms) does
-    not move.  So the 2^k' monomials of j sum to one product of blocks
-    (v, a, b), one per vertex with a free slot: a the edge on its dz slot,
-    b the edge on its dz-bar slot, None where a form holds the slot.  When
-    both are edges, a comes before b in green_ids and the block is the 2x2
-    determinant d_v G_a db_v G_b - d_v G_b db_v G_a.  The coefficient is
-    that of the monomial in which each such a takes its dz:
+    slots.  Each goes to its end nearer G_j: its one internal end, or its
+    parent end in `spanning[r]`, the walk from an internal end r of G_j.
+    Vertex v meets free[v] + 1 Green edges (a form letter fills one slot;
+    equal letters are pruned) and gives up one, G_j or its edge toward r,
+    so it receives free[v].  No other hand-out does: from the far end of
+    the walk up, a vertex's other Green edges can go nowhere else and fill
+    its free slots, so its edge toward r goes to the parent.  What is left
+    is which of its two received edges a two-slot vertex puts on dz.
+    Swapping them swaps two slots of the wedge, so it flips the sign, and
+    |A| (k minus the dz forms) does not move.  So the 2^k' monomials of j
+    sum to one product of blocks (v, a, b), one per vertex with a free
+    slot: a the edge on its dz slot, b the edge on its dz-bar slot, None
+    where a form holds the slot.  When both are edges, a comes before b in
+    green_ids and the block is the 2x2 determinant
+    d_v G_a db_v G_b - d_v G_b db_v G_a.  The coefficient is that of the
+    monomial in which each such a takes its dz:
     (-1)^|A| |A|! (m-|A|)! sgn([j]+A+B) / (m+1)!, times C(m, |A|) for the
     star weights, times the sign that sorts the slots of its wedge (A, then
     B, then the form edges) and the tree's `sign`.
@@ -197,17 +183,20 @@ def _slot_terms(k, greens, green_ids, fixed_slots, sign, star):
                    * (math.comb(m, a) if star else 1)) for a in range(m + 1)]
     free = [[s for s in (2 * v, 2 * v + 1) if s not in fixed_slots]
             for v in range(k)]
+    # ends[g]: the (position, vertex) of Green edge g's internal ends
     ends = [[(p, d[1]) for p, d in enumerate(greens[e]) if d[0] == "v"]
             for e in green_ids]
     need = [[False, False] for _ in range(m + 1)]
     terms = []
-    for j in range(m + 1):
-        owner = _orientation(ends, j, [len(f) for f in free])
+    for j, ej in enumerate(ends):
+        up = dict(spanning[ej[0][1]]) if ej else {}     # child -> parent
         got = [[] for _ in range(k)]        # received Green indices, ascending
-        for g, o in enumerate(owner):
-            if o is not None:
-                got[o[1]].append(g)
-                need[g][o[0]] = True
+        for g, eg in enumerate(ends):
+            if g != j:
+                # the end nearer G_j: the only one, or the parent one
+                p, v = eg[-1] if up.get(eg[0][1]) == eg[-1][1] else eg[0]
+                got[v].append(g)
+                need[g][p] = True
         slot, blocks = {}, []
         for v in range(k):
             if free[v]:
@@ -239,7 +228,8 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     distinct finite points its Green functions blow up at: the decoration
     points at the other end of its Green edges and a finite delta base.
     Distinct labels are distinct points (`_validate_request`), so pruning
-    compares letters."""
+    compares letters.  A kept tree's internal edges are then walked once
+    from each vertex (`_spanning`), for `_slot_terms` and the sampler."""
     letters = tree.letters()
     # internal vertices in canonical order
     nodes = [] if tree.n == 1 else [("root",)] + list(tree.intervals)
@@ -279,14 +269,19 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
         if len(set(here)) < len(here) or (prune_forms and forms >= 2):
             return None
 
+    adj = [[] for _ in range(k)]
+    for v, w in pairs:
+        adj[v].append(w)
+        adj[w].append(v)
+    spanning = [_spanning(adj, r, k) for r in range(k)]
     green_ids = list(greens)
     sign = perm_parity(green_ids + [e for e, _, _ in specials], tree.edges())
     # kappa = internal vertices with no incident form edge
     kappa_vertices = k - len({v for _, v, _ in specials})
     terms, need = _slot_terms(k, greens, green_ids, fixed_slots, sign,
-                              req.normalization == "star")
+                              req.normalization == "star", spanning)
     return _CompiledTree(tree, k, greens, green_ids, specials, terms, need,
-                         sign, anchors, pairs, kappa_vertices)
+                         sign, anchors, pairs, spanning, kappa_vertices)
 
 
 # ----------------------------------------------------------------------
@@ -320,10 +315,6 @@ class _Mixture:
         self.curve = curve
         self.k = comp.k
         self.rho = rho
-        adj = {v: set() for v in range(comp.k)}
-        for v, w in comp.pairs:
-            adj[v].add(w)
-            adj[w].add(v)
         comps = [("glob", None, None)]
         for v in range(comp.k):
             for c in comp.anchors[v]:
@@ -335,8 +326,7 @@ class _Mixture:
         # lo..hi-1: the unanchored one, then one per anchor of the root
         chains = []
         if comp.k > 1:
-            for root in range(comp.k):
-                parents = self._spanning(adj, root, comp.k)
+            for root, parents in enumerate(comp.spanning):
                 lo = len(comps)
                 comps.append(("chain", (root, parents), None))
                 for c in comp.anchors[root]:
@@ -384,22 +374,6 @@ class _Mixture:
         # global law of the other variables, or (None, factors) for a chain
         self._plan = plan
         self._factors = list(index)
-
-    @staticmethod
-    def _spanning(adj, root, k):
-        """Parent links (child, parent) of a BFS spanning tree of the
-        internal-edge graph, parents first and children ascending.  A tree's
-        internal edges all carry Green functions (forms sit on leaves) and
-        connect its k internal vertices, so the BFS reaches every one."""
-        parents = [None] * k
-        order, seen = [root], {root}
-        for u in order:                 # grows while walked: a FIFO queue
-            for w in sorted(adj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    parents[w] = u
-                    order.append(w)
-        return tuple((v, parents[v]) for v in order[1:])
 
     def _q_polar(self, d):
         r = self.curve.separation(d)

@@ -43,8 +43,8 @@ from .exact_algebra import (
 
 __all__ = [
     "PlaneTree", "OrientedForest", "ForestVector", "CasimirBasis", "Wedge2",
-    "enumerate_trivalent_trees", "canonical_orientation", "differential",
-    "cobracket", "cobracket_squared", "tree_sum_map", "tree_sum_ext",
+    "enumerate_trivalent_trees", "differential", "cobracket",
+    "cobracket_squared", "tree_sum_map", "tree_sum_ext", "abstract_projection",
 ]
 
 
@@ -363,12 +363,6 @@ def enumerate_trivalent_trees(decoration) -> list:
         tree, _ = PlaneTree.from_raw(letters, fam)
         out.append(OrientedForest([tree]))
     return out
-
-
-def canonical_orientation(t: PlaneTree) -> OrientedForest:
-    if not t.is_trivalent():
-        raise ValueError("canonical_orientation needs a trivalent tree")
-    return OrientedForest([t])
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from hodgecor.engine import (
-    CorrelatorRequest, _eval_tree_mc, _Mixture, _singular_mask, compile_tree,
-    correlate, cyclic_polylog_series, elliptic_correlator, integrand,
-    levin_reference, multiple_green, symmetric_form_word,
+    CorrelatorRequest, _eval_tree_mc, _Mixture, _singular_mask, _spanning,
+    compile_tree, correlate, cyclic_polylog_series, elliptic_correlator,
+    integrand, levin_reference, multiple_green, symmetric_form_word,
 )
 from hodgecor.exact_algebra import (
     CyclicElement, antihol_form, hol_form, perm_parity, point,
@@ -365,6 +365,11 @@ def _slot_cases():
     yield "dz-dzb-unpruned", CorrelatorRequest(
         curve, GreenSpec.delta(0.4 + 0.9j), word,
         {"o": 0.0, "a": 0.31 + 0.17j}), None
+    # at k = 4: 10 of its 28 trees have a vertex whose slots both hold forms
+    yield "dz-dzb-k4", CorrelatorRequest(
+        EllipticCurve(0.3 + 1.1j), GreenSpec.delta(0.4 + 0.9j),
+        symmetric_form_word(["o", "a", "b"], [(0, 0), (1, 1), (0, 1)]),
+        {"o": 0.0, "a": 0.31 + 0.17j, "b": 0.55 + 0.62j}), None
     word, labels = _p1_word(7)                    # k = 5: the old path is slow
     yield "p1-k5-some", CorrelatorRequest(P1, DINF, word, labels), (0, 41)
 
@@ -640,7 +645,7 @@ def test_spanning_matches_reference():
             adj[v].add(w)
             adj[w].add(v)
         for root in range(k):
-            assert (_Mixture._spanning(adj, root, k)
+            assert (_spanning(adj, root, k)
                     == _reference_spanning(adj, root, k))
 
 

@@ -8,8 +8,8 @@ from hodgecor.exact_algebra import (
 from hodgecor.tree_calculus import (
     CasimirBasis, ForestVector, OrientedForest, PlaneTree, Wedge2,
     _branch_arcs, _branches_at_leaf, _piece, _structure, abstract_projection,
-    canonical_orientation, cobracket, cobracket_squared, differential,
-    enumerate_trivalent_trees, tree_sum_ext, tree_sum_map,
+    cobracket, cobracket_squared, differential, enumerate_trivalent_trees,
+    tree_sum_ext, tree_sum_map,
 )
 
 BASIS = CasimirBasis.symplectic(1)
@@ -230,11 +230,6 @@ class TestOrientation:
         swapped = OrientedForest([t], 1, edge_order=[
             (0, ("leaf", 1)), (0, ("leaf", 0)), (0, ("leaf", 2))])
         assert swapped.sign == -1
-
-    def test_non_trivalent_rejected(self):
-        t, _ = PlaneTree.from_raw([point(str(i)) for i in range(4)])  # 4-star
-        with pytest.raises(ValueError):
-            canonical_orientation(t)
 
     def test_null_orientation_dropped(self):
         # any tree whose decorated automorphism is odd on edges is zero;
