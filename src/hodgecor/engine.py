@@ -311,10 +311,10 @@ class _Mixture:
     `density` evaluates each factor once per call.
     """
 
-    def __init__(self, curve, comp: _CompiledTree, rho: float):
+    def __init__(self, curve, comp: _CompiledTree):
         self.curve = curve
         self.k = comp.k
-        self.rho = rho
+        self.rho = curve.default_rho
         comps = [("glob", None, None)]
         for v in range(comp.k):
             for c in comp.anchors[v]:
@@ -574,7 +574,7 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
         y = np.full(1, complex(ends[1][1]))
         g, _, _ = req.curve.green(req.green, x, y)
         return complex(comp.sign * g[0]), 0.0, 0, (0, 0)
-    mix = _Mixture(req.curve, comp, req.curve.default_rho)
+    mix = _Mixture(req.curve, comp)
     # at least 8 batches so the batch-mean spread is a usable error estimate
     batch = max(1024, min(_BATCH, req.samples // 8))
     if req.scheme == "qmc":

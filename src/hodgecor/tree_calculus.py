@@ -225,9 +225,6 @@ class PlaneTree:
             out.append(len(self.node_children(iv)) + 1)
         return out
 
-    def is_trivalent(self) -> bool:
-        return all(v == 3 for v in self.vertex_valencies())
-
     def degree(self) -> int:
         return sum(v - 3 for v in self.vertex_valencies()) + 1
 

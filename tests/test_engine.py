@@ -478,7 +478,7 @@ def test_integrand_matches_extended_precision(zeros):
                                    + [point("zero")] * zeros)
     req = CorrelatorRequest(P1, DINF, word, {"a": 1.0, "z": Z, "zero": 0.0})
     (comp,) = _compiled_trees(req)
-    mix = _Mixture(P1, comp, P1.default_rho)
+    mix = _Mixture(P1, comp)
     A, _ = mix.draw(np.random.default_rng([0, zeros, comp.k]), 1 << 16)
     ref = _extended_reference(comp, req, A)
     val = integrand(comp, req, A)
@@ -576,13 +576,12 @@ def _reference_density(mix, pts):
 
 def _mixtures(req):
     """(label, compiled tree, mixture) for every unpruned tree of the word."""
-    rho = req.curve.default_rho
     for cw in req.word.terms:
         for i, forest in enumerate(enumerate_trivalent_trees(cw)):
             (tree,) = forest.trees
             comp = compile_tree(tree, req)
             if comp is not None and comp.k:
-                yield i, comp, _Mixture(req.curve, comp, rho)
+                yield i, comp, _Mixture(req.curve, comp)
 
 
 # anchors at 0 and at 1 sit next to vertex indices 0 and 1 (1 == 1+0j)

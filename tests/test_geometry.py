@@ -160,7 +160,21 @@ class TestGreenElliptic:
         # the Richardson-extrapolated Gaussian regulator is the slow check;
         # its accuracy degrades near the lattice, so test at safe points
         for z in (0.3 + 0.4j, 0.45 + 0.31j, 0.71 + 0.52j):
-            assert abs(E.green_function(z) - E.green_lattice(z)) < 1e-6
+            assert abs(E.green_function(z) - E.im_tau / math.pi
+                       * eisenstein_kronecker(E, EKIndex(0, 0, z), radius=80)[0].real) < 1e-6
+
+    @pytest.mark.parametrize("tau", (3 + 0.5j, 4.4 + 1.2j, 7.3 + 0.2j))
+    def test_ewald_on_a_skewed_frame(self, tau):
+        # |Re tau| >= 2: lattice points with large m at small n matter
+        curve = EllipticCurve(tau)
+        for z in random_torus_points(6, rng=np.random.default_rng(7), tau=tau):
+            assert abs(curve.green_function(z) - curve.green_ewald(z)) < 1e-12
+
+    @pytest.mark.parametrize("curve", (E, SKEW), ids=("square", "skew"))
+    def test_ewald_far_from_the_fundamental_domain(self, curve):
+        shift = 10 + 10 * complex(curve.tau)
+        for z in random_torus_points(6, rng=np.random.default_rng(8), tau=curve.tau):
+            assert abs(curve.green_function(z) - curve.green_ewald(z + shift)) < 1e-12
 
     def test_zero_mean(self):
         n = 400
@@ -353,6 +367,21 @@ class TestEisensteinKronecker:
         val, err = eisenstein_kronecker(E, EKIndex(0, 0, a))
         target = E.green_function(a) * math.pi / E.im_tau
         assert abs(val - target) < 1e-4
+
+    @pytest.mark.parametrize("curve", (E, SKEW), ids=("square", "skew"))
+    def test_divergent_mode_error_estimate(self, curve):
+        # off the lattice the regulated sum is flat in s: the estimate is
+        # at rounding level and still covers the true error
+        for a in (0.3 + 0.4j, 0.45 + 0.31j):
+            val, err = eisenstein_kronecker(curve, EKIndex(0, 0, a))
+            target = curve.green_function(a) * math.pi / curve.im_tau
+            assert err < 1e-12
+            assert abs(val - target) <= err + 1e-14
+        # next to a lattice point the extrapolation is poor, and the
+        # estimate says so
+        a = 0.05 + 0.02j
+        val, err = eisenstein_kronecker(curve, EKIndex(0, 0, a))
+        assert abs(val - curve.green_function(a) * math.pi / curve.im_tau) <= err
 
 
 class TestGeneratingSeries:
