@@ -30,6 +30,13 @@ Bloch-Wigner tripod, the classical polylogarithm caterpillars, and the
 depth-one Eisenstein-Kronecker series at staggered and adjacent form
 placements), see the acceptance tests.  `star` applies binomial omega-star
 weights on top of `2pii`.
+
+Sampling.  Each tree runs at least 8 batches, each drawn from its own
+generator, and takes its stderr from the spread of the batch means.  Small
+batches are stacked into blocks of at most `_BLOCK` rows; a larger batch is
+streamed in `_BLOCK`-row chunks.  Either way the sampler and the integrand
+see at most `_BLOCK` rows at a time, so memory does not grow with the
+batch, and neither the grouping nor the chunking changes a value.
 """
 
 from __future__ import annotations
@@ -292,6 +299,15 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
 _GLOB_W = 0.25
 
 
+def _polar(r, th):
+    """r exp(i th) for real r and th, written as r cos th + i r sin th: the
+    same bits as `r * np.exp(1j * th)`, without the complex exp."""
+    z = np.empty(len(r), dtype=complex)
+    z.real = r * np.cos(th)
+    z.imag = r * np.sin(th)
+    return z
+
+
 class _Mixture:
     """Tree-aware importance mixture with antithetic polar pairs.
 
@@ -347,6 +363,10 @@ class _Mixture:
         wts = np.full(len(comps), (1.0 - _GLOB_W) / max(1, len(comps) - 1))
         wts[0] = _GLOB_W if len(comps) > 1 else 1.0
         self.wts = wts
+        self._cum = np.cumsum(wts)
+        # reads_off[i]: component i places a cell at a polar offset `off`
+        # from an anchor or a partner (pt, pair and anchored chains)
+        self._reads_off = np.array([c is not None for _, _, c in comps])
         # Factor keys are tagged: ("g", v) the global density of column v,
         # ("c", v, c) the disk around anchor c, ("e", v, w) with v < w the
         # disk along an edge (the separation is symmetric).  The tags keep a
@@ -384,22 +404,33 @@ class _Mixture:
         # component selector + 2 uniforms per variable + polar (r, theta)
         return 1 + 2 * self.k + 2
 
+    def _pick(self, u0):
+        """Component index of each row from its selector uniform: the count
+        of cumulative weights at or below u0 times the total, that is
+        `searchsorted(cum, u0 * cum[-1], side="right")` capped at the last
+        component."""
+        x = u0 * self._cum[-1]
+        ci = np.zeros(len(x), dtype=np.intp)
+        for c in self._cum[:-1]:
+            ci += x >= c
+        return ci
+
     def build(self, U: np.ndarray):
-        """Map a uniform matrix (n, uniform_dim) to antithetic point pairs."""
+        """Map a uniform matrix (n, uniform_dim) to antithetic point pairs,
+        column-major so each vertex's column is contiguous."""
         n = U.shape[0]
         k = self.k
-        cum = np.cumsum(self.wts)
-        ci = np.searchsorted(cum, U[:, 0] * cum[-1], side="right")
-        ci = np.minimum(ci, len(self.comps) - 1)
-        A = np.empty((n, k), dtype=complex)
+        ci = self._pick(U[:, 0])
+        A = np.empty((n, k), dtype=complex, order="F")
         for v in range(k):
             rows = np.flatnonzero(self._keep[v][ci])
             A[rows, v] = self.curve.global_point(U[rows, 1 + 2 * v],
                                                  U[rows, 2 + 2 * v])
-        B = A.copy()
-        r = self.rho * U[:, 1 + 2 * k]
-        th = 2 * np.pi * U[:, 2 + 2 * k]
-        off = r * np.exp(1j * th)
+        B = A.copy(order="F")
+        rows = np.flatnonzero(self._reads_off[ci])
+        off = np.empty(n, dtype=complex)
+        off[rows] = _polar(self.rho * U[rows, 1 + 2 * k],
+                           2 * np.pi * U[rows, 2 + 2 * k])
         for i, (kind, v, c) in enumerate(self.comps[1:], 1):
             if c is None:       # an unanchored chain: its root stays global
                 continue
@@ -424,8 +455,8 @@ class _Mixture:
             if not len(rows):
                 continue
             for child, parent in parents:
-                o = (self.rho * U[rows, 1 + 2 * child]
-                     * np.exp(2j * np.pi * U[rows, 2 + 2 * child]))
+                o = _polar(self.rho * U[rows, 1 + 2 * child],
+                           2 * np.pi * U[rows, 2 + 2 * child])
                 A[rows, child] = A[rows, parent] + o
                 B[rows, child] = B[rows, parent] - o
         return A, B
@@ -466,8 +497,9 @@ class _Mixture:
 
 # rows per batch, before the at-least-8-batches rule
 _BATCH = 1 << 14
-# rows per block: consecutive whole batches are stacked into one block for
-# the sampler and the integrand; a batch this size or larger is its own block
+# rows per block and per chunk: consecutive whole batches of at most this
+# size are stacked into one block for the sampler and the integrand; a larger
+# batch is its own block, drawn, built and weighed in chunks of this size
 _BLOCK = 1 << 12
 # points closer than this (by `separation`) are one point
 _COINCIDENT = 1e-9
@@ -545,15 +577,20 @@ def _singular_mask(comp: _CompiledTree, curve, pts):
     return bad
 
 
-def _first_draw(scheme, rng, out):
-    """Fill `out`, one batch's rows of its block's uniform matrix, from the
-    batch's generator: under qmc through a Sobol engine it seeds, scrambled
-    per batch so the batch spread stays a valid error estimate."""
+def _first_draw(scheme, rng, dim):
+    """The batch's first draw, as a function that fills the batch's next
+    rows of `dim` uniforms from the batch's generator: under qmc through one
+    Sobol engine it seeds, scrambled per batch so the batch spread stays a
+    valid error estimate.  Filling a batch in chunks gives the rows of one
+    whole draw, bit for bit, under either scheme."""
     if scheme == "qmc":
         from scipy.stats import qmc
-        out[:] = qmc.Sobol(out.shape[1], scramble=True, seed=rng).random(len(out))
-    else:
-        rng.random(out=out)
+        sobol = qmc.Sobol(dim, scramble=True, seed=rng)
+
+        def draw(out):
+            out[:] = sobol.random(len(out))
+        return draw
+    return lambda out: rng.random(out=out)
 
 
 def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
@@ -562,11 +599,16 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     rows redrawn off a singularity and those still on one after 8 redraws.
 
     Batch b draws from its own generator, so its values do not depend on
-    how batches are grouped: consecutive batches share one block of at
-    most `_BLOCK` rows, and each block makes one `build`, one
-    `_singular_mask` pass per redraw round and one `integrand`/`density`
-    call per antithetic half.  A redraw round redraws each batch's rows on
-    a singularity from the batch's generator, under either scheme."""
+    how batches are grouped.  Consecutive batches of at most `_BLOCK` rows
+    share one block; a larger batch is its own block.  A block is drawn,
+    built, checked for singular rows and weighed in chunks of at most
+    `_BLOCK` rows (one chunk for a block of small batches), so the working
+    set stays bounded: only the weights w span the block.  A chunk with a
+    row on a singularity is held back until the block is drawn; then the
+    redraw rounds, one `_singular_mask` pass over the held rows each,
+    redraw each batch's rows on a singularity from the batch's generator,
+    under either scheme.  The result is bit-identical to drawing, building
+    and weighing each batch whole."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
@@ -575,6 +617,7 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
         g, _, _ = req.curve.green(req.green, x, y)
         return complex(comp.sign * g[0]), 0.0, 0, (0, 0)
     mix = _Mixture(req.curve, comp)
+    dim = mix.uniform_dim()
     # at least 8 batches so the batch-mean spread is a usable error estimate
     batch = max(1024, min(_BATCH, req.samples // 8))
     if req.scheme == "qmc":
@@ -584,28 +627,52 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     per_block = max(1, _BLOCK // batch)
     means = np.empty(nbatches, dtype=complex)
     rejected = residual = 0
+
+    def weigh(A, B):
+        return 0.5 * (integrand(comp, req, A) / mix.density(A)
+                      + integrand(comp, req, B) / mix.density(B))
+
     for b0 in range(0, nbatches, per_block):
         rngs = [np.random.default_rng([req.seed, tree_index, b, 0x9e3779b9])
                 for b in range(b0, min(b0 + per_block, nbatches))]
-        U = np.empty((len(rngs) * batch, mix.uniform_dim()))
-        for i, rng in enumerate(rngs):
-            _first_draw(req.scheme, rng, U[i * batch:(i + 1) * batch])
-        A, B = mix.build(U)
-        del U                   # not held through the integrand's peak
-        for round_ in range(9):
-            bad = (_singular_mask(comp, req.curve, A)
-                   | _singular_mask(comp, req.curve, B))
-            nb = int(bad.sum())
-            if nb == 0 or round_ == 8:
-                break
-            rejected += nb
-            for i, rng in enumerate(rngs):
-                rows = np.flatnonzero(bad[i * batch:(i + 1) * batch]) + i * batch
-                if len(rows):
-                    A[rows], B[rows] = mix.draw(rng, len(rows))
-        residual += nb
-        w = 0.5 * (integrand(comp, req, A) / mix.density(A)
-                   + integrand(comp, req, B) / mix.density(B))
+        draws = [_first_draw(req.scheme, rng, dim) for rng in rngs]
+        n = len(rngs) * batch
+        w = np.empty(n, dtype=complex)
+        held = []               # (rows, A, B) of chunks with a singular row
+        for s in range(0, n, _BLOCK):
+            c = slice(s, min(s + _BLOCK, n))
+            U = np.empty((c.stop - c.start, dim))
+            # a chunk holds whole batches, or part of the block's one batch
+            for i, draw in enumerate(draws):
+                draw(U[i * batch:(i + 1) * batch])
+            A, B = mix.build(U)
+            del U               # not held through the integrand's peak
+            if (_singular_mask(comp, req.curve, A)
+                    | _singular_mask(comp, req.curve, B)).any():
+                held.append((np.arange(c.start, c.stop), A, B))
+            else:
+                w[c] = weigh(A, B)
+        if held:
+            # no other row of the block is on a singularity, so the redraw
+            # rounds over the held rows alone redraw what a pass over the
+            # whole block would, from the same generators in the same order
+            rows, A, B = (np.concatenate(x) for x in zip(*held))
+            owner = rows // batch
+            for round_ in range(9):
+                bad = (_singular_mask(comp, req.curve, A)
+                       | _singular_mask(comp, req.curve, B))
+                nb = int(bad.sum())
+                if nb == 0 or round_ == 8:
+                    break
+                rejected += nb
+                for i, rng in enumerate(rngs):
+                    redo = np.flatnonzero(bad & (owner == i))
+                    if len(redo):
+                        A[redo], B[redo] = mix.draw(rng, len(redo))
+            residual += nb
+            for j in range(0, len(rows), _BLOCK):
+                c = slice(j, j + _BLOCK)
+                w[rows[c]] = weigh(A[c], B[c])
         means[b0:b0 + len(rngs)] = w.reshape(len(rngs), batch).mean(axis=1)
     value = complex(np.mean(means))
     se = float(np.sqrt((np.var(means.real) + np.var(means.imag)) / nbatches))

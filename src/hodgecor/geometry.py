@@ -159,7 +159,11 @@ class RationalCurve:
         2 pi u2, for uniforms u1, u2 in [0, 1); its density, with a |z|^-3
         tail, is `global_density`."""
         r = np.sqrt(1.0 / (1.0 - u1 * (1 - 1e-12)) ** 2 - 1.0)
-        return r * np.exp(2j * np.pi * u2)
+        th = 2 * np.pi * u2
+        z = np.empty(np.shape(r), dtype=complex)   # r exp(i th), same bits
+        z.real = r * np.cos(th)
+        z.imag = r * np.sin(th)
+        return z
 
     @staticmethod
     def global_density(z):
@@ -192,6 +196,11 @@ class EllipticCurve:
         object.__setattr__(self, "_qpow", qn)
         object.__setattr__(self, "_one_plus_q2n", 1.0 + qn * qn)
         object.__setattr__(self, "_log_abs_eta", log_abs_eta)
+        # the shortest lattice vector's length: the lattice of (1, tau) is
+        # (c tau + d) times that of the reduced tau', whose shortest vector
+        # is 1, and Im tau' = Im tau / |c tau + d|^2
+        object.__setattr__(self, "_shortest",
+                           math.sqrt(tau.imag / _reduced_tau(tau).imag))
 
     @property
     def im_tau(self) -> float:
@@ -203,8 +212,11 @@ class EllipticCurve:
 
     @property
     def default_rho(self) -> float:
-        """Radius of the polar mixture components."""
-        return 0.28 * math.sqrt(self.im_tau)
+        """Radius of the polar mixture components: 0.28 sqrt(Im tau), capped
+        at 0.45 times the shortest lattice vector so that each disk lies
+        inside its point's Voronoi cell (on a tall torus the uncapped disk
+        wraps onto itself and the mixture density undercounts it)."""
+        return min(0.28 * math.sqrt(self.im_tau), 0.45 * self._shortest)
 
     @staticmethod
     def check_measure(spec: GreenSpec):
@@ -349,13 +361,15 @@ class EllipticCurve:
         from scipy.special import exp1
         y = self.im_tau
         zr = complex(self.reduce(complex(z)))
-        gam = _lattice(self, math.sqrt(42.0))
-        a2 = np.abs(gam) ** 2
-        direct = (y / np.pi) * np.sum(self.chi(zr, gam).real * np.exp(-a2) / a2)
+        direct = 0.0
+        for gam in _lattice(self, math.sqrt(42.0)):
+            a2 = np.abs(gam) ** 2
+            direct += np.sum(self.chi(zr, gam).real * np.exp(-a2) / a2)
         reach = math.sqrt(42.0) * y / np.pi
-        lam = np.append(_lattice(self, reach + abs(zr)), 0)
-        dual = np.sum(exp1((np.pi / y) ** 2 * np.abs(zr - lam) ** 2))
-        return float(direct + dual - y / np.pi)
+        dual = exp1((np.pi / y) ** 2 * abs(zr) ** 2)         # lambda = 0
+        for lam in _lattice(self, reach + abs(zr)):
+            dual += np.sum(exp1((np.pi / y) ** 2 * np.abs(zr - lam) ** 2))
+        return float((y / np.pi) * direct + dual - y / np.pi)
 
 
 CurveModel = RationalCurve | EllipticCurve
@@ -534,26 +548,45 @@ class EKIndex:
             raise ValueError("need p, q >= 0")
 
 
+# box entries per strip of `_lattice`: whole rows, as many as fit (at least
+# one).  At 2^14 the strips' largest arrays (256 KB) left glibc's dynamic trim
+# threshold, twice the largest freed mmapped block, below the engine's
+# per-chunk working set, so the heap was returned and re-faulted on every
+# chunk: 11,000-27,000 page faults per elliptic-ek pass against 3,000 at the
+# whole-disk sum; at 2^15, 24-1,077.
+_STRIP = 1 << 15
+
+
 def _lattice(curve: EllipticCurve, radius: float):
-    """Nonzero lattice points gamma = m + n tau with |gamma| <= radius; the
-    one source of lattice points of every lattice sum."""
+    """Nonzero lattice points gamma = m + n tau with |gamma| <= radius: the
+    one source of lattice points of every lattice sum, yielded in sheared
+    strips that each sum accumulates one by one, so its working set does
+    not grow with the radius.  A strip takes consecutive rows n, as many as
+    fit `_STRIP` points, and row n the m within int(radius) + 2 of the
+    integer nearest -n Re tau: the row's points of the disk have
+    |m + n Re tau| <= radius, on any frame."""
     tau = complex(curve.tau)
     n_max = int(radius / tau.imag) + 1
-    m_max = int(radius * (1 + abs(tau.real) / tau.imag)) + 1
-    ms = np.arange(-m_max, m_max + 1)
-    ns = np.arange(-n_max, n_max + 1)
-    M, N = np.meshgrid(ms, ns, indexing="ij")
-    gam = (M + N * tau)[(M != 0) | (N != 0)]
-    return gam[np.abs(gam) <= radius]
+    span = int(radius) + 2
+    rows = max(1, _STRIP // (2 * span + 1))
+    for n0 in range(-n_max, n_max + 1, rows):
+        J, N = np.meshgrid(np.arange(-span, span + 1),
+                           np.arange(n0, min(n0 + rows, n_max + 1)),
+                           indexing="ij")
+        M = J + np.round(-N * tau.real)
+        gam = (M + N * tau)[(M != 0) | (N != 0)]
+        yield gam[np.abs(gam) <= radius]
 
 
 def _regulated(curve: EllipticCurve, a, radius: float, t=0) -> list:
     """sum' chi_a(gamma) e^{-s |gamma|^2} / |gamma - t|^2 over |gamma| <=
     radius, one value per regulator s in `_REGULATORS`."""
-    gam = _lattice(curve, radius)
-    ch = curve.chi(complex(a), gam)
-    d2, a2 = np.abs(gam - t) ** 2, np.abs(gam) ** 2
-    return [complex(np.sum(ch * np.exp(-s * a2) / d2)) for s in _REGULATORS]
+    sums = np.zeros(len(_REGULATORS), dtype=complex)
+    for gam in _lattice(curve, radius):
+        ch = curve.chi(complex(a), gam)
+        d2, a2 = np.abs(gam - t) ** 2, np.abs(gam) ** 2
+        sums += [np.sum(ch * np.exp(-s * a2) / d2) for s in _REGULATORS]
+    return [complex(v) for v in sums]
 
 
 def eisenstein_kronecker(curve: EllipticCurve, idx: EKIndex, radius: int = 200):
@@ -575,9 +608,9 @@ def eisenstein_kronecker(curve: EllipticCurve, idx: EKIndex, radius: int = 200):
         vals = _regulated(curve, idx.a, min(radius, 120))
         val = _richardson(_REGULATORS, vals)
         return complex(val), float(abs(val - _richardson(_REGULATORS[:2], vals[:2])))
-    gam = _lattice(curve, radius)
-    ch = curve.chi(complex(idx.a), gam)
-    val = np.sum(ch / (gam ** (p + 1) * np.conj(gam) ** (q + 1)))
+    val = sum(np.sum(curve.chi(complex(idx.a), gam)
+                     / (gam ** (p + 1) * np.conj(gam) ** (q + 1)))
+              for gam in _lattice(curve, radius))
     # tail bound: integral of r^{-(p+q+2)} over r > radius
     err = 2 * np.pi / (p + q) * radius ** (-(p + q))
     return complex(val), float(err)
