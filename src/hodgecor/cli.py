@@ -1,13 +1,15 @@
 """Command line front end: correlators, identity suites, reference tables.
 
 Exit codes: 0 success, 1 identity-suite failure, 2 parse error,
-3 precondition violation, 4 non-convergence flag (stderr above half of
-|value|, or rows left on a singularity after the redraws).
+3 precondition violation, 4 non-convergence flag (a value or stderr that is
+not finite, stderr above half of |value|, or rows left on a singularity
+after the redraws).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import json
@@ -115,6 +117,10 @@ def cmd_correlator(args) -> int:
     if residual:
         print(f"non-convergence: {residual} sample rows stayed on a "
               f"Green-function singularity after 8 redraws", file=sys.stderr)
+        return 4
+    if not (cmath.isfinite(res.value) and math.isfinite(res.stderr)):
+        print(f"non-convergence: value {res.value} or stderr {res.stderr} "
+              f"is not finite", file=sys.stderr)
         return 4
     if res.stderr > 0.5 * abs(res.value) and abs(res.value) > 0:
         print(f"non-convergence: stderr {res.stderr:.3g} is above half of "

@@ -34,9 +34,10 @@ weights on top of `2pii`.
 Sampling.  Each tree runs at least 8 batches, each drawn from its own
 generator, and takes its stderr from the spread of the batch means.  Small
 batches are stacked into blocks of at most `_BLOCK` rows; a larger batch is
-streamed in `_BLOCK`-row chunks.  Either way the sampler and the integrand
-see at most `_BLOCK` rows at a time, so memory does not grow with the
-batch, and neither the grouping nor the chunking changes a value.
+streamed in `_BLOCK`-row chunks, each weighed once, as soon as it is drawn,
+so memory does not grow with the batch.  A row on a Green-function
+singularity is redrawn from a generator keyed by its batch and its row, so
+neither the grouping, the chunking nor another row changes a value.
 """
 
 from __future__ import annotations
@@ -596,19 +597,18 @@ def _first_draw(scheme, rng, dim):
 def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     """Batched antithetic importance sampling for one tree; returns
     (value, stderr, n_samples, (n_rejected, n_residual)), the last pair the
-    rows redrawn off a singularity and those still on one after 8 redraws.
+    redraws off a singularity and the rows still on one after 8 redraws.
 
     Batch b draws from its own generator, so its values do not depend on
     how batches are grouped.  Consecutive batches of at most `_BLOCK` rows
     share one block; a larger batch is its own block.  A block is drawn,
     built, checked for singular rows and weighed in chunks of at most
     `_BLOCK` rows (one chunk for a block of small batches), so the working
-    set stays bounded: only the weights w span the block.  A chunk with a
-    row on a singularity is held back until the block is drawn; then the
-    redraw rounds, one `_singular_mask` pass over the held rows each,
-    redraw each batch's rows on a singularity from the batch's generator,
-    under either scheme.  The result is bit-identical to drawing, building
-    and weighing each batch whole."""
+    set stays bounded: only the weights w span the block.  A singular row
+    is redrawn at once, up to 8 times, from its own generator keyed by
+    (seed, tree, batch, row in batch), one entry longer than the batch's
+    key, so no other row, block or chunk moves it.  The result is
+    bit-identical to drawing, building and weighing each batch whole."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
@@ -628,17 +628,16 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     means = np.empty(nbatches, dtype=complex)
     rejected = residual = 0
 
-    def weigh(A, B):
-        return 0.5 * (integrand(comp, req, A) / mix.density(A)
-                      + integrand(comp, req, B) / mix.density(B))
+    def singular(A, B):
+        return (_singular_mask(comp, req.curve, A)
+                | _singular_mask(comp, req.curve, B))
 
     for b0 in range(0, nbatches, per_block):
-        rngs = [np.random.default_rng([req.seed, tree_index, b, 0x9e3779b9])
-                for b in range(b0, min(b0 + per_block, nbatches))]
-        draws = [_first_draw(req.scheme, rng, dim) for rng in rngs]
-        n = len(rngs) * batch
+        draws = [_first_draw(req.scheme, np.random.default_rng(
+            [req.seed, tree_index, b, 0x9e3779b9]), dim)
+            for b in range(b0, min(b0 + per_block, nbatches))]
+        n = len(draws) * batch
         w = np.empty(n, dtype=complex)
-        held = []               # (rows, A, B) of chunks with a singular row
         for s in range(0, n, _BLOCK):
             c = slice(s, min(s + _BLOCK, n))
             U = np.empty((c.stop - c.start, dim))
@@ -647,33 +646,21 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
                 draw(U[i * batch:(i + 1) * batch])
             A, B = mix.build(U)
             del U               # not held through the integrand's peak
-            if (_singular_mask(comp, req.curve, A)
-                    | _singular_mask(comp, req.curve, B)).any():
-                held.append((np.arange(c.start, c.stop), A, B))
-            else:
-                w[c] = weigh(A, B)
-        if held:
-            # no other row of the block is on a singularity, so the redraw
-            # rounds over the held rows alone redraw what a pass over the
-            # whole block would, from the same generators in the same order
-            rows, A, B = (np.concatenate(x) for x in zip(*held))
-            owner = rows // batch
-            for round_ in range(9):
-                bad = (_singular_mask(comp, req.curve, A)
-                       | _singular_mask(comp, req.curve, B))
-                nb = int(bad.sum())
-                if nb == 0 or round_ == 8:
-                    break
-                rejected += nb
-                for i, rng in enumerate(rngs):
-                    redo = np.flatnonzero(bad & (owner == i))
-                    if len(redo):
-                        A[redo], B[redo] = mix.draw(rng, len(redo))
-            residual += nb
-            for j in range(0, len(rows), _BLOCK):
-                c = slice(j, j + _BLOCK)
-                w[rows[c]] = weigh(A[c], B[c])
-        means[b0:b0 + len(rngs)] = w.reshape(len(rngs), batch).mean(axis=1)
+            for r in np.flatnonzero(singular(A, B)):
+                b, row = divmod(s + int(r), batch)
+                rng = np.random.default_rng(
+                    [req.seed, tree_index, b0 + b, row, 0x9e3779b9])
+                one = slice(r, r + 1)
+                for _ in range(8):
+                    rejected += 1
+                    A[one], B[one] = mix.draw(rng, 1)
+                    if not singular(A[one], B[one])[0]:
+                        break
+                else:
+                    residual += 1
+            w[c] = 0.5 * (integrand(comp, req, A) / mix.density(A)
+                          + integrand(comp, req, B) / mix.density(B))
+        means[b0:b0 + len(draws)] = w.reshape(len(draws), batch).mean(axis=1)
     value = complex(np.mean(means))
     se = float(np.sqrt((np.var(means.real) + np.var(means.imag)) / nbatches))
     return value, se, nbatches * batch, (rejected, residual)

@@ -90,14 +90,23 @@ _THETA_SPAN = 18 * math.log(10) / (2 * math.pi)
 _MAX_THETA_FACTORS = 1000
 
 
+def _reduced_basis(tau: complex) -> tuple:
+    """(w1, w2 / w1) of the Lagrange-Gauss-reduced basis (w1, w2) of the
+    lattice Z + tau Z: w1 is a shortest nonzero vector and w2 / w1 lies in
+    the standard fundamental domain, |Re| <= 1/2, |.| >= 1 and Im > 0.  A
+    reduced tau keeps its basis (1, tau) exactly."""
+    w1, w2 = 1 + 0j, complex(tau)
+    while True:
+        if abs(w2) < abs(w1):
+            w1, w2 = w2, w1
+        if not (mu := round((w2 / w1).real)):
+            return w1, (w2 if (w2 / w1).imag > 0 else -w2) / w1
+        w2 -= mu * w1
+
+
 def _reduced_tau(tau: complex) -> complex:
     """The SL2(Z)-equivalent tau with |Re tau| <= 1/2 and |tau| >= 1."""
-    for _ in range(64):
-        tau -= round(tau.real)
-        if abs(tau) >= 1:
-            break
-        tau = -1 / tau
-    return tau
+    return _reduced_basis(tau)[1] + 0.0     # + 0.0 turns a real part -0 into 0
 
 
 @dataclass(frozen=True)
@@ -196,11 +205,8 @@ class EllipticCurve:
         object.__setattr__(self, "_qpow", qn)
         object.__setattr__(self, "_one_plus_q2n", 1.0 + qn * qn)
         object.__setattr__(self, "_log_abs_eta", log_abs_eta)
-        # the shortest lattice vector's length: the lattice of (1, tau) is
-        # (c tau + d) times that of the reduced tau', whose shortest vector
-        # is 1, and Im tau' = Im tau / |c tau + d|^2
-        object.__setattr__(self, "_shortest",
-                           math.sqrt(tau.imag / _reduced_tau(tau).imag))
+        # the reduced basis, as (w1, w2 / w1), for `wrap` and `default_rho`
+        object.__setattr__(self, "_frame", _reduced_basis(tau))
 
     @property
     def im_tau(self) -> float:
@@ -216,7 +222,7 @@ class EllipticCurve:
         at 0.45 times the shortest lattice vector so that each disk lies
         inside its point's Voronoi cell (on a tall torus the uncapped disk
         wraps onto itself and the mixture density undercounts it)."""
-        return min(0.28 * math.sqrt(self.im_tau), 0.45 * self._shortest)
+        return min(0.28 * math.sqrt(self.im_tau), 0.45 * abs(self._frame[0]))
 
     @staticmethod
     def check_measure(spec: GreenSpec):
@@ -225,24 +231,23 @@ class EllipticCurve:
         if spec.kind == "delta" and is_infinity(spec.base):
             raise ValueError("a delta measure at infinity exists only on P^1")
 
-    def coords(self, z):
-        """Real coordinates (u, v) with z = u + v tau."""
-        tau = complex(self.tau)
-        v = np.imag(z) / tau.imag
-        u = np.real(z) - v * tau.real
-        return u, v
-
     def reduce(self, z):
         """Representative with coordinates in [0,1)^2 of the (1, tau) frame."""
         tau = complex(self.tau)
-        u, v = self.coords(z)
+        v = np.imag(z) / tau.imag
+        u = np.real(z) - v * tau.real
         return (u - np.floor(u)) + (v - np.floor(v)) * tau
 
     def wrap(self, z):
-        """Shortest representative: coordinates in [-1/2, 1/2)^2."""
-        tau = complex(self.tau)
-        u, v = self.coords(z)
-        return (u - np.round(u)) + (v - np.round(v)) * tau
+        """Representative with coordinates in [-1/2, 1/2)^2 of the reduced
+        basis (w1, w2).  It is the nearest translate of z whenever that lies
+        within the centred cell's inscribed radius, which exceeds
+        `default_rho` on every frame."""
+        w1, t = self._frame
+        z = z / w1
+        v = np.imag(z) / t.imag
+        u = np.real(z) - v * t.real
+        return ((u - np.round(u)) + (v - np.round(v)) * t) * w1
 
     def separation(self, d):
         """Distance on the torus of two points whose difference is d."""
@@ -417,9 +422,8 @@ def green(curve: CurveModel, spec: GreenSpec, x, y):
 def green_arakelov_decomposition(curve: EllipticCurve, a, x, y):
     """G_a(x,y) via the invariant-volume Green function with constant 0:
     g(x-y) - g(a-y) - g(x-a)."""
-    if np.any(np.isclose(np.abs(curve.wrap(x - y)), 0)) \
-            or np.any(np.isclose(np.abs(curve.wrap(x - a)), 0)) \
-            or np.any(np.isclose(np.abs(curve.wrap(y - a)), 0)):
+    if any(np.isclose(curve.separation(d), 0).any()
+           for d in (x - y, x - a, y - a)):
         raise ValueError("coincident points")
     return (curve.green_function(x - y) - curve.green_function(a - y)
             - curve.green_function(x - a))

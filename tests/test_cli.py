@@ -349,3 +349,16 @@ def test_raw_normalization_exit_0(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["metadata"]["normalization"] == "raw"
     assert payload["request"]["normalization"] == "raw"
+
+
+def test_non_finite_result_exit_4(capsys):
+    """A value or stderr that is not finite ends in exit 4 with a message:
+    on tau = 150i the theta kernel overflows and the estimate is NaN."""
+    with np.errstate(all="ignore"):
+        code = main(["correlator", "--curve", "elliptic:tau=150i",
+                     "--mu", "volume", "--word", "C(s:0 s:0.2 s:0.4)",
+                     "--samples", "4096", "--out", "-"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "not finite" in err
+    assert np.isnan(json.loads(out)["stderr"])
