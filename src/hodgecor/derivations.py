@@ -125,10 +125,7 @@ def morphism_check(F: CyclicElement, G: CyclicElement, spec: AlphabetSpec) -> bo
     kF, kG = kappa(F, spec), kappa(G, spec)
     br = lie_bracket(F, G, spec)
     lhs = kF.commutator_with(kG, spec.letters())
-    if not br:
-        return lhs.is_zero_on(spec.letters())
-    rhs = kappa(br, spec)
-    return lhs.equals_on(rhs, spec.letters())
+    return lhs.equals_on(kappa(br, spec), spec.letters())
 
 
 def kernel_check(F: CyclicElement, spec: AlphabetSpec) -> bool:

@@ -85,9 +85,10 @@ def _richardson(regulators, values):
 # curve models
 # ----------------------------------------------------------------------
 
-# the theta product's factor count is about _THETA_SPAN / Im tau (`_nterms`)
+# the theta product's factor count is about _THETA_SPAN / Im tau' (`_nterms`)
 _THETA_SPAN = 18 * math.log(10) / (2 * math.pi)
-_MAX_THETA_FACTORS = 1000
+# its exp(+-2 pi Im z), |Im z| <= Im tau' / 2, overflows past Im tau' = 225.9
+_MAX_IM_TAU = 200.0
 
 
 def _reduced_basis(tau: complex) -> tuple:
@@ -102,11 +103,6 @@ def _reduced_basis(tau: complex) -> tuple:
         if not (mu := round((w2 / w1).real)):
             return w1, (w2 if (w2 / w1).imag > 0 else -w2) / w1
         w2 -= mu * w1
-
-
-def _reduced_tau(tau: complex) -> complex:
-    """The SL2(Z)-equivalent tau with |Re tau| <= 1/2 and |tau| >= 1."""
-    return _reduced_basis(tau)[1] + 0.0     # + 0.0 turns a real part -0 into 0
 
 
 @dataclass(frozen=True)
@@ -193,20 +189,21 @@ class EllipticCurve:
         tau = complex(self.tau)
         if tau.imag <= 0:
             raise ValueError("need Im tau > 0")
-        if _THETA_SPAN / tau.imag >= _MAX_THETA_FACTORS:
+        w1, t = _reduced_basis(tau)
+        if not t.imag <= _MAX_IM_TAU:
             raise ValueError(
-                f"Im tau = {tau.imag:.3g} needs more than {_MAX_THETA_FACTORS}"
-                f" theta factors (Im tau must exceed "
-                f"{_THETA_SPAN / _MAX_THETA_FACTORS:.4g}); use an "
-                f"SL2(Z)-equivalent tau such as {_reduced_tau(tau):.6g}")
-        # constants of the theta product, cached on the frozen instance
-        qn = cmath.exp(2j * math.pi * tau) ** np.arange(1, self._nterms() + 1)
-        log_abs_eta = -math.pi * tau.imag / 12 + float(np.log(np.abs(1 - qn)).sum())
+                f"the lattice's reduced tau' has Im tau' = {t.imag:.3g}, above"
+                f" the bound {_MAX_IM_TAU:g} past which the theta kernel "
+                f"overflows; every SL2(Z)-equivalent tau has the same tau'")
+        # the reduced basis (w1, tau' = w2 / w1), the one frame of `_centred`,
+        # the theta product and `default_rho`, and the theta product's
+        # constants at tau', cached on the frozen instance
+        object.__setattr__(self, "_frame", (w1, t))
+        qn = cmath.exp(2j * math.pi * t) ** np.arange(1, self._nterms() + 1)
+        log_abs_eta = -math.pi * t.imag / 12 + float(np.log(np.abs(1 - qn)).sum())
         object.__setattr__(self, "_qpow", qn)
         object.__setattr__(self, "_one_plus_q2n", 1.0 + qn * qn)
         object.__setattr__(self, "_log_abs_eta", log_abs_eta)
-        # the reduced basis, as (w1, w2 / w1), for `wrap` and `default_rho`
-        object.__setattr__(self, "_frame", _reduced_basis(tau))
 
     @property
     def im_tau(self) -> float:
@@ -231,23 +228,20 @@ class EllipticCurve:
         if spec.kind == "delta" and is_infinity(spec.base):
             raise ValueError("a delta measure at infinity exists only on P^1")
 
-    def reduce(self, z):
-        """Representative with coordinates in [0,1)^2 of the (1, tau) frame."""
-        tau = complex(self.tau)
-        v = np.imag(z) / tau.imag
-        u = np.real(z) - v * tau.real
-        return (u - np.floor(u)) + (v - np.floor(v)) * tau
-
-    def wrap(self, z):
-        """Representative with coordinates in [-1/2, 1/2)^2 of the reduced
-        basis (w1, w2).  It is the nearest translate of z whenever that lies
-        within the centred cell's inscribed radius, which exceeds
-        `default_rho` on every frame."""
+    def _centred(self, z):
+        """z / w1 moved by Z + tau' Z to coordinates in [-1/2, 1/2]^2 of the
+        basis (1, tau'); it negates exactly when z does."""
         w1, t = self._frame
         z = z / w1
         v = np.imag(z) / t.imag
         u = np.real(z) - v * t.real
-        return ((u - np.round(u)) + (v - np.round(v)) * t) * w1
+        return (u - np.round(u)) + (v - np.round(v)) * t
+
+    def wrap(self, z):
+        """`_centred` times w1: the nearest translate of z whenever that lies
+        within the centred cell's inscribed radius, which exceeds
+        `default_rho` on every frame."""
+        return self._centred(z) * self._frame[0]
 
     def separation(self, d):
         """Distance on the torus of two points whose difference is d."""
@@ -270,14 +264,15 @@ class EllipticCurve:
 
     # -- theta machinery ------------------------------------------------
     def _nterms(self) -> int:
-        """Factors n = 1..N kept in the theta product.  On a reduced z,
-        |q^n e^{+-1}| <= |q|^(n-1), so the first omitted factor differs from
-        1 by about |q|^N, which N makes smaller than 1e-18."""
-        return max(6, int(_THETA_SPAN / self.im_tau) + 1)
+        """Factors n = 1..N kept in the theta product at q = exp(2 pi i tau').
+        On the centred argument |Im z| <= Im tau' / 2, so |q^n e^{+-1}| <=
+        |q|^(n-1/2), and N makes the first omitted factor differ from 1 by
+        less than 1e-18.  Im tau' >= sqrt(3)/2, so N <= 8 on every frame."""
+        return max(6, int(_THETA_SPAN / self._frame[1].imag) + 1)
 
     def theta_quotient(self, z):
-        """(log|theta_1(z)/eta|, theta_1'/theta_1 (z)) from one pass over the
-        product; z reduced beforehand.
+        """(log|theta_1(z|tau')/eta(tau')|, theta_1'/theta_1 (z|tau')) from
+        one pass over the product, at a centred argument z (`_centred`).
 
         With e = exp(2 pi i z) the paired factors are
         t_n = (1 - q^n e)(1 - q^n / e) = 1 - q^n (e + 1/e) + q^(2n), and
@@ -287,7 +282,8 @@ class EllipticCurve:
                                  + 2 pi i (1/e - e) sum_n q^n / t_n.
 
         sin and cos of pi z are built from real sin/cos/sinh/cosh, which keeps
-        full relative accuracy next to the lattice points on the real axis.
+        full relative accuracy next to 0, the one lattice point a centred z
+        comes near; |e| and |1/e| stay below exp(pi Im tau').
         """
         z = np.asarray(z, dtype=complex)
         x, y = np.pi * z.real, np.pi * z.imag
@@ -305,31 +301,33 @@ class EllipticCurve:
             t += one_plus_q2n
             prod *= t
             acc += np.divide(qn, t, out=t)
-        log_ratio = np.log(np.abs(prod)) - np.pi * self.im_tau / 6.0
+        log_ratio = np.log(np.abs(prod)) - np.pi * self._frame[1].imag / 6.0
         dlog = np.pi * cot + 2j * np.pi * (inv_e - e) * acc
         return log_ratio, dlog
 
     def log_abs_theta1(self, z):
-        """log|theta_1(z|tau)|; z reduced beforehand."""
+        """log|theta_1(z|tau')| at a centred argument z."""
         return self.theta_quotient(z)[0] + self._log_abs_eta
 
     def log_abs_eta(self) -> float:
-        """log|eta(tau)|, a constant of the curve."""
+        """log|eta(tau')| of the reduced tau', a constant of the curve."""
         return self._log_abs_eta
 
     def theta1_log_derivative(self, z):
-        """theta_1'/theta_1 (z|tau); z reduced beforehand."""
+        """theta_1'/theta_1 (z|tau') at a centred argument z."""
         return self.theta_quotient(z)[1]
 
     # -- the flat Green function ----------------------------------------
     def green_pair(self, z):
         """(g(z), dg/dz) from one theta pass; the antiholomorphic Wirtinger
-        derivative is the conjugate of dg/dz since g is real."""
-        zr = self.reduce(z)
-        log_ratio, dlog = self.theta_quotient(zr)
-        im = np.imag(zr)
-        return (-2.0 * log_ratio + 2 * np.pi * im ** 2 / self.im_tau,
-                -dlog - 2j * np.pi * im / self.im_tau)
+        derivative is the conjugate of dg/dz since g is real.  g depends on
+        the lattice alone: it is that of Z + tau' Z at `_centred`(z)."""
+        w1, t = self._frame
+        zc = self._centred(z)
+        log_ratio, dlog = self.theta_quotient(zc)
+        im = np.imag(zc)
+        return (-2.0 * log_ratio + 2 * np.pi * im ** 2 / t.imag,
+                (-dlog - 2j * np.pi * im / t.imag) / w1)
 
     def green(self, spec: GreenSpec, x, y, need_dx: bool = False,
               need_dy: bool = False):
@@ -365,7 +363,7 @@ class EllipticCurve:
         """
         from scipy.special import exp1
         y = self.im_tau
-        zr = complex(self.reduce(complex(z)))
+        zr = complex(self.wrap(complex(z)))
         direct = 0.0
         for gam in _lattice(self, math.sqrt(42.0)):
             a2 = np.abs(gam) ** 2

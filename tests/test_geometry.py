@@ -25,10 +25,11 @@ def random_torus_points(n, rng=RNG, margin=0.06, tau=TAU):
 
 
 def triple_product_reference(curve, z, nmax=60):
-    """(log|theta_1|, log|eta|, theta_1'/theta_1) factor by factor, as
+    """(log|theta_1|, log|eta|, theta_1'/theta_1) at the curve's reduced
+    tau', factor by factor, as
     log|2 sin(pi z)| + sum_n log|1 - q^n| + log|1 - q^n e| + log|1 - q^n/e|
     and pi cot(pi z) + 2 pi i sum_n (q^n/e/(1 - q^n/e) - q^n e/(1 - q^n e))."""
-    tau = complex(curve.tau)
+    tau = curve._frame[1]
     q = cmath.exp(2j * math.pi * tau)
     z = np.asarray(z, dtype=complex)
     e = np.exp(2j * np.pi * z)
@@ -102,8 +103,9 @@ class TestCurveLaws:
 class TestThetaKernel:
     @pytest.mark.parametrize("tau", (1j, 0.3 + 1.1j, 0.5j, 2j))
     def test_matches_triple_product(self, tau):
+        # 0.5i is not reduced: its kernel runs at tau' = 2i
         curve = EllipticCurve(tau)
-        z = curve.reduce(np.concatenate([
+        z = curve._centred(np.concatenate([
             random_torus_points(40, np.random.default_rng(7), 0.0, tau),
             near_boundary_points(tau)]))
         log_theta, log_eta, dlog = triple_product_reference(curve, z)
@@ -117,37 +119,46 @@ class TestThetaKernel:
     @pytest.mark.parametrize("im_tau", (0.5, 1.0, 1.1, 2.0))
     def test_first_omitted_factor_is_negligible(self, im_tau):
         # |1 - t_n| <= |q^n e| + |q^n / e| + |q|^(2n) for the first factor
-        # n the product leaves out, at reduced points up to the top edge
+        # n the product leaves out, at centred points up to the cell's edges;
+        # 0.3+0.5i is not reduced, and q is that of the reduced tau'
         tau = 0.3 + 1j * im_tau
         curve = EllipticCurve(tau)
+        t = curve._frame[1]
         n = curve._nterms() + 1
-        qn = cmath.exp(2j * math.pi * tau) ** n
-        z = curve.reduce(np.concatenate([
+        qn = cmath.exp(2j * math.pi * t) ** n
+        z = curve._centred(np.concatenate([
             random_torus_points(200, np.random.default_rng(3), 0.0, tau),
             near_boundary_points(tau, 1e-9)]))
         e = np.exp(2j * np.pi * z)
         assert np.max(np.abs(qn * e) + np.abs(qn / e)) + abs(qn) ** 2 < 1e-17
         # and no factor is kept that the tail bound does not need
-        q = math.exp(-2 * math.pi * im_tau)
+        q = math.exp(-2 * math.pi * t.imag)
         assert n - 1 == 6 or q ** (n - 2) >= 1e-18
 
 
 class TestThetaFactorCap:
+    """The theta product runs at the reduced tau', Im tau' >= sqrt(3)/2, so
+    it keeps at most 8 factors; a lattice whose Im tau' is above 200, where
+    the kernel would overflow, is refused."""
+
     def test_small_im_tau_is_refused(self):
-        for tau in (1e-300j, 5e-324j, 1e-6j, 0.5 + 1e-6j, 0.3 + 0.0065j):
-            with pytest.raises(ValueError, match="1000 theta factors"):
+        for tau in (1e-300j, 5e-324j, 1e-6j, 0.5 + 1e-6j, 225j):
+            with pytest.raises(ValueError, match="above the bound 200"):
                 EllipticCurve(tau)
 
     def test_cap_bounds_the_factor_count(self):
-        # Im tau just above the bound keeps at most 1000 factors; the
-        # suggested tau lies in the standard fundamental domain
-        from hodgecor.geometry import _reduced_tau
-        assert EllipticCurve(0.0066j)._nterms() <= 1000
+        # 3,000 accepted frames, thin, skew and tall
+        rng = np.random.default_rng(11)
+        accepted = 0
+        while accepted < 3000:
+            tau = complex(rng.uniform(-5, 5), 10.0 ** rng.uniform(-3, 2.5))
+            try:
+                curve = EllipticCurve(tau)
+            except ValueError:
+                continue
+            assert curve._nterms() <= 8
+            accepted += 1
         assert EllipticCurve(1j)._nterms() == 7
-        for tau in (1e-6j, 0.5 + 1e-6j, 0.3 + 0.0065j, 2.3 + 0.5j):
-            t = _reduced_tau(tau)
-            assert abs(t.real) <= 0.5 and abs(t) >= 1
-            EllipticCurve(t)
 
 
 class TestGreenElliptic:
