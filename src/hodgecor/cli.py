@@ -69,6 +69,18 @@ def _output(path):
             yield fh
 
 
+def _finite_or_null(x):
+    """x with each non-finite float in its dicts and lists replaced by None,
+    which JSON writes as null: a bare NaN or Infinity token is not JSON."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite_or_null(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def _parse_curve(text: str):
     if text == "p1":
         return RationalCurve()
@@ -112,7 +124,8 @@ def cmd_correlator(args) -> int:
         "points": {k: str(v) for k, v in pts.items()},
     }
     with _output(args.out) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(json.dumps(_finite_or_null(payload), indent=2,
+                            allow_nan=False) + "\n")
     residual = res.metadata["residual_singular"]
     if residual:
         print(f"non-convergence: {residual} sample rows stayed on a "
@@ -282,7 +295,8 @@ def cmd_reference(args) -> int:
         cop = dilog_coproduct([(Fraction(1, 3), 1), (Fraction(-1, 2), 1)],
                               [(Fraction(3, 2), Fraction(3, 2), Fraction(-1, 2))])
         ok = cop.is_zero_mod_two_torsion()
-        print(f"0 mod 2-torsion: {'PASS' if ok else 'FAIL'}")
+        with _output(args.out) as fh:
+            fh.write(f"0 mod 2-torsion: {'PASS' if ok else 'FAIL'}\n")
         return 0 if ok else 1
     with _output(args.out) as fh:
         w = csv.DictWriter(fh, fieldnames=header)

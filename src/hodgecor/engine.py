@@ -35,9 +35,13 @@ Sampling.  Each tree runs at least 8 batches, each drawn from its own
 generator, and takes its stderr from the spread of the batch means.  Small
 batches are stacked into blocks of at most `_BLOCK` rows; a larger batch is
 streamed in `_BLOCK`-row chunks, each weighed once, as soon as it is drawn,
-so memory does not grow with the batch.  A row on a Green-function
-singularity is redrawn from a generator keyed by its batch and its row, so
-neither the grouping, the chunking nor another row changes a value.
+so memory does not grow with the batch.  A chunk is weighed in
+component-grouped order (`_Mixture.build`), and its weights are put back in
+draw order before the batch means.  Its global-component rows lead, and
+their antithetic twin is the row itself, so they are weighed once.  A row on
+a Green-function singularity is redrawn from a generator keyed by its batch
+and its row in draw order, so neither the blocking, the chunking, the
+grouping nor another row changes a value.
 """
 
 from __future__ import annotations
@@ -365,9 +369,6 @@ class _Mixture:
         wts[0] = _GLOB_W if len(comps) > 1 else 1.0
         self.wts = wts
         self._cum = np.cumsum(wts)
-        # reads_off[i]: component i places a cell at a polar offset `off`
-        # from an anchor or a partner (pt, pair and anchored chains)
-        self._reads_off = np.array([c is not None for _, _, c in comps])
         # Factor keys are tagged: ("g", v) the global density of column v,
         # ("c", v, c) the disk around anchor c, ("e", v, w) with v < w the
         # disk along an edge (the separation is symmetric).  The tags keep a
@@ -409,36 +410,46 @@ class _Mixture:
         """Component index of each row from its selector uniform: the count
         of cumulative weights at or below u0 times the total, that is
         `searchsorted(cum, u0 * cum[-1], side="right")` capped at the last
-        component."""
+        component.  The index is 16-bit, so `build`'s stable sort of it is
+        a radix sort."""
         x = u0 * self._cum[-1]
-        ci = np.zeros(len(x), dtype=np.intp)
+        ci = np.zeros(len(x), dtype=np.uint16)
         for c in self._cum[:-1]:
             ci += x >= c
         return ci
 
     def build(self, U: np.ndarray):
         """Map a uniform matrix (n, uniform_dim) to antithetic point pairs,
-        column-major so each vertex's column is contiguous."""
+        column-major so each vertex's column is contiguous, with the rows
+        grouped by component: returns (A, B, order, twin), where row r of A
+        and B comes from row order[r] of U.  The grouping is a stable sort
+        of `_pick`'s index, so rows keep their draw order within a
+        component, and each component writes its cells through one slice,
+        gathering from U only the columns it reads.  The global component's
+        rows lead; `build` never moves them, so B is A on the first `twin`
+        rows, and a caller weighs those rows once."""
         n = U.shape[0]
         k = self.k
         ci = self._pick(U[:, 0])
+        order = np.argsort(ci, kind="stable")
+        ci = ci[order]
+        at = np.searchsorted(ci, np.arange(len(self.comps) + 1))
         A = np.empty((n, k), dtype=complex, order="F")
         for v in range(k):
             rows = np.flatnonzero(self._keep[v][ci])
-            A[rows, v] = self.curve.global_point(U[rows, 1 + 2 * v],
-                                                 U[rows, 2 + 2 * v])
+            src = order[rows]
+            A[rows, v] = self.curve.global_point(U[src, 1 + 2 * v],
+                                                 U[src, 2 + 2 * v])
         B = A.copy(order="F")
-        rows = np.flatnonzero(self._reads_off[ci])
-        off = np.empty(n, dtype=complex)
-        off[rows] = _polar(self.rho * U[rows, 1 + 2 * k],
-                           2 * np.pi * U[rows, 2 + 2 * k])
         for i, (kind, v, c) in enumerate(self.comps[1:], 1):
-            if c is None:       # an unanchored chain: its root stays global
+            # an unanchored chain's root stays global; an empty component
+            # writes nothing
+            if c is None or at[i] == at[i + 1]:
                 continue
-            rows = np.flatnonzero(ci == i)
-            if not len(rows):
-                continue
-            o = off[rows]
+            rows = slice(at[i], at[i + 1])
+            src = order[rows]
+            o = _polar(self.rho * U[src, 1 + 2 * k],
+                       2 * np.pi * U[src, 2 + 2 * k])
             if kind == "pt":
                 A[rows, v] = c + o
                 B[rows, v] = c - o
@@ -452,18 +463,20 @@ class _Mixture:
         # roots together, by per-variable polar offsets recycled from the
         # uniforms that would otherwise drive the global coordinates
         for lo, hi, parents in self._chains:
-            rows = np.flatnonzero((ci >= lo) & (ci < hi))
-            if not len(rows):
+            if at[lo] == at[hi]:
                 continue
+            rows = slice(at[lo], at[hi])
+            src = order[rows]
             for child, parent in parents:
-                o = _polar(self.rho * U[rows, 1 + 2 * child],
-                           2 * np.pi * U[rows, 2 + 2 * child])
+                o = _polar(self.rho * U[src, 1 + 2 * child],
+                           2 * np.pi * U[src, 2 + 2 * child])
                 A[rows, child] = A[rows, parent] + o
                 B[rows, child] = B[rows, parent] - o
-        return A, B
+        return A, B, order, int(at[1])
 
     def draw(self, rng, n):
-        return self.build(rng.random((n, self.uniform_dim())))
+        A, B, _, _ = self.build(rng.random((n, self.uniform_dim())))
+        return A, B
 
     def density(self, pts):
         qg = self.curve.global_density(pts)
@@ -604,11 +617,15 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     share one block; a larger batch is its own block.  A block is drawn,
     built, checked for singular rows and weighed in chunks of at most
     `_BLOCK` rows (one chunk for a block of small batches), so the working
-    set stays bounded: only the weights w span the block.  A singular row
-    is redrawn at once, up to 8 times, from its own generator keyed by
-    (seed, tree, batch, row in batch), one entry longer than the batch's
-    key, so no other row, block or chunk moves it.  The result is
-    bit-identical to drawing, building and weighing each batch whole."""
+    set stays bounded: only the weights w span the block.  A chunk's rows
+    come grouped by component, its `twin` global rows first, where B is A:
+    those are checked and weighed on A alone, and the weights are scattered
+    back to draw order.  A singular row is redrawn at once, up to 8 times,
+    from its own generator keyed by (seed, tree, batch, row in batch, in
+    draw order), one entry longer than the batch's key, so no other row,
+    block or chunk moves it; a redrawn row ends the twin prefix.  The
+    result is bit-identical to drawing, building and weighing each batch
+    whole."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
@@ -628,9 +645,10 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     means = np.empty(nbatches, dtype=complex)
     rejected = residual = 0
 
-    def singular(A, B):
-        return (_singular_mask(comp, req.curve, A)
-                | _singular_mask(comp, req.curve, B))
+    def singular(A, B, twin=0):
+        bad = _singular_mask(comp, req.curve, A)
+        bad[twin:] |= _singular_mask(comp, req.curve, B[twin:])
+        return bad
 
     for b0 in range(0, nbatches, per_block):
         draws = [_first_draw(req.scheme, np.random.default_rng(
@@ -644,10 +662,10 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
             # a chunk holds whole batches, or part of the block's one batch
             for i, draw in enumerate(draws):
                 draw(U[i * batch:(i + 1) * batch])
-            A, B = mix.build(U)
+            A, B, order, twin = mix.build(U)
             del U               # not held through the integrand's peak
-            for r in np.flatnonzero(singular(A, B)):
-                b, row = divmod(s + int(r), batch)
+            for r in np.flatnonzero(singular(A, B, twin)):
+                b, row = divmod(s + int(order[r]), batch)
                 rng = np.random.default_rng(
                     [req.seed, tree_index, b0 + b, row, 0x9e3779b9])
                 one = slice(r, r + 1)
@@ -658,8 +676,13 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
                         break
                 else:
                     residual += 1
-            w[c] = 0.5 * (integrand(comp, req, A) / mix.density(A)
-                          + integrand(comp, req, B) / mix.density(B))
+                twin = min(twin, r)     # a redrawn B no longer copies A
+            # B is A on the first twin rows, and 0.5 * (x + x) == x
+            wt = integrand(comp, req, A) / mix.density(A)
+            Bt = B[twin:]
+            wt[twin:] = 0.5 * (wt[twin:]
+                               + integrand(comp, req, Bt) / mix.density(Bt))
+            w[s + order] = wt
         means[b0:b0 + len(draws)] = w.reshape(len(draws), batch).mean(axis=1)
     value = complex(np.mean(means))
     se = float(np.sqrt((np.var(means.real) + np.var(means.imag)) / nbatches))

@@ -276,6 +276,14 @@ class TestReference:
         assert main(["reference", "--table", "dilog-coproduct"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_dilog_coproduct_out(self, tmp_path, capsys):
+        """The PASS/FAIL line goes to the --out file, not to stdout."""
+        out = tmp_path / "cop.txt"
+        assert main(["reference", "--table", "dilog-coproduct",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == "0 mod 2-torsion: PASS\n"
+        assert capsys.readouterr().out == ""
+
     def test_sv_polylog_csv(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["reference", "--table", "sv-polylog", "--grid", "5",
@@ -327,9 +335,10 @@ def test_rows_left_singular_exit_4(monkeypatch, capsys):
     build = _Mixture.build
 
     def planted(self, U):
-        A, B = build(self, U)
-        A[::1024, 0] = 0.0                # every draw, redraws included
-        return A, B
+        A, B, order, twin = build(self, U)
+        # every draw, redraws included; rows of the draw, not of the grouping
+        A[np.argsort(order)[::1024], 0] = 0.0
+        return A, B, order, twin
 
     monkeypatch.setattr(_Mixture, "build", planted)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -365,4 +374,29 @@ def test_non_finite_result_exit_4(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 4
     assert "not finite" in err
-    assert np.isnan(json.loads(out)["stderr"])
+    assert _strict_json(out)["stderr"] is None
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens,
+    which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_numbers_written_as_null(capsys):
+    """A delta base at 1e308 overflows the sampler's densities: the value
+    and stderr are NaN, exit 4 says so, and the JSON holds null for them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["correlator", "--mu", "delta:1e308",
+                     "--word", "C(s:0 s:1 s:2)", "--samples", "1024",
+                     "--out", "-"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "not finite" in err
+    payload = _strict_json(out)
+    assert payload["value"] == {"re": None, "im": None}
+    assert payload["stderr"] is None
+    assert payload["per_tree"][0]["value"] == {"re": None, "im": None}
+    assert payload["samples"] == 8192

@@ -621,9 +621,14 @@ def test_mixture_matches_reference(req):
         for n in (4096, 8):
             U = np.random.default_rng([i, n, comp.k]).random(
                 (n, mix.uniform_dim()))
-            A, B = mix.build(U)
+            A, B, order, twin = mix.build(U)
+            assert np.array_equal(np.sort(order), np.arange(n))
+            ci = mix._pick(U[order, 0])
+            assert np.all(ci[1:] >= ci[:-1])
+            assert twin == np.count_nonzero(ci == 0)
+            assert A[:twin].tobytes() == B[:twin].tobytes()
             A0, B0 = _reference_build(mix, U)
-            assert np.array_equal(A, A0) and np.array_equal(B, B0)
+            assert np.array_equal(A, A0[order]) and np.array_equal(B, B0[order])
             for pts in (A, B):
                 assert np.array_equal(mix.density(pts),
                                       _reference_density(mix, pts))
@@ -754,10 +759,11 @@ def test_rows_on_a_singularity_are_redrawn(monkeypatch):
     build = _Mixture.build
 
     def planted(self, U):
-        A, B = build(self, U)
+        A, B, order, twin = build(self, U)
         if len(U) > 1:                    # full batches, not the redraws
-            A[::1024, 0] = 0.0            # row 0 of each batch of the block
-        return A, B
+            # row 0 of each batch of the block, in the draw's row order
+            A[np.argsort(order)[::1024], 0] = 0.0
+        return A, B, order, twin
 
     monkeypatch.setattr(_Mixture, "build", planted)
     res = multiple_green(P1, DINF, [0.0, 1.0, Z], samples=1 << 13, seed=1)
@@ -771,9 +777,10 @@ def test_rows_still_singular_after_the_redraws_are_reported(monkeypatch):
     build = _Mixture.build
 
     def planted(self, U):
-        A, B = build(self, U)
-        A[::1024, 0] = 0.0                # row 0 of each batch, and each redraw
-        return A, B
+        A, B, order, twin = build(self, U)
+        # row 0 of each batch, and each redraw, in the draw's row order
+        A[np.argsort(order)[::1024], 0] = 0.0
+        return A, B, order, twin
 
     monkeypatch.setattr(_Mixture, "build", planted)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -804,12 +811,13 @@ def test_blocks_match_batch_at_a_time(monkeypatch, run, plant):
     calls = []
 
     def counted(self, U):
-        A, B = build(self, U)
+        A, B, order, twin = build(self, U)
         if len(U) > 1:                    # blocks, not the redraws
             calls.append(len(U))
             if plant:
-                A[::1024, 0] = 0.0        # row 0 of each batch of the block
-        return A, B
+                # row 0 of each batch of the block, in the draw's row order
+                A[np.argsort(order)[::1024], 0] = 0.0
+        return A, B, order, twin
 
     monkeypatch.setattr(_Mixture, "build", counted)
     blocked = run()

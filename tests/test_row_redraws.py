@@ -19,12 +19,12 @@ def _plant(monkeypatch, rows):
     build = _Mixture.build
 
     def planted(self, U):
-        A, B = build(self, U)
+        A, B, order, twin = build(self, U)
         if len(U) >= 1024:
             anchor = next(c for kind, v, c in self.comps
                           if kind == "pt" and v == 0)
-            A[rows, 0] = anchor
-        return A, B
+            A[np.argsort(order)[rows], 0] = anchor    # rows of the draw
+        return A, B, order, twin
 
     monkeypatch.setattr(_Mixture, "build", planted)
 

@@ -47,16 +47,17 @@ def test_chunks_match_whole_batches(monkeypatch, name):
     sizes, seen = [], [0]
 
     def counted(self, U):
-        A, B = build(self, U)
+        A, B, order, twin = build(self, U)
         if len(U) >= 1024:              # first draws, not the redraws
             sizes.append(len(U))
             at = seen[0] % BATCH
             if name == "planted-redraws":
+                at_row = np.argsort(order)  # a draw row's place in A
                 for row in PLANTED:
                     if at <= row < at + len(U):
-                        A[row - at, 0] = 0.0
+                        A[at_row[row - at], 0] = 0.0
             seen[0] += len(U)
-        return A, B
+        return A, B, order, twin
 
     monkeypatch.setattr(_Mixture, "build", counted)
     chunked = CASES[name]()
