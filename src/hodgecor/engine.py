@@ -38,10 +38,15 @@ streamed in `_BLOCK`-row chunks, each weighed once, as soon as it is drawn,
 so memory does not grow with the batch.  A chunk is weighed in
 component-grouped order (`_Mixture.build`), and its weights are put back in
 draw order before the batch means.  Its global-component rows lead, and
-their antithetic twin is the row itself, so they are weighed once.  A row on
-a Green-function singularity is redrawn from a generator keyed by its batch
-and its row in draw order, so neither the blocking, the chunking, the
-grouping nor another row changes a value.
+their antithetic twin is the row itself, so they are weighed once.  Each
+chunk side (A, then B where it is not A) has its differences taken once, in
+one table (`_differences`): every Green edge's difference as the curve
+reduces it, with its distance, and under a delta measure at a finite base
+each vertex's difference from the base.  The singular mask, the mixture's
+disk factors and the Green kernel all read that table, and only one side's
+table is alive at a time.  A row on a Green-function singularity is redrawn
+from a generator keyed by its batch and its row in draw order, so neither
+the blocking, the chunking, the grouping nor another row changes a value.
 """
 
 from __future__ import annotations
@@ -122,10 +127,11 @@ class _CompiledTree:
     (need_dx, need_dy) derivative flags.  `anchors[v]` lists the distinct
     finite points where vertex v's Green functions blow up and `pairs` the
     internal edges (v, w): the sampler centres its components there, and
-    `_singular_mask` rejects rows on them.  `spanning[r]` lists the parent
-    links (child, parent) of the internal edges walked from vertex r: an
-    edge's parent end is its end nearer r, where `_slot_terms` hands it
-    when G_j ends at r, and the sampler hangs its chains on them.
+    `_singular_mask` rejects rows on them.  `base` is the base point of a
+    delta measure when it is finite, else None.  `spanning[r]` lists the
+    parent links (child, parent) of the internal edges walked from vertex
+    r: an edge's parent end is its end nearer r, where `_slot_terms` hands
+    it when G_j ends at r, and the sampler hangs its chains on them.
     """
 
     tree: PlaneTree
@@ -140,6 +146,7 @@ class _CompiledTree:
     pairs: list
     spanning: list
     kappa_vertices: int
+    base: complex | None
 
 
 def _spanning(adj, root, k):
@@ -248,7 +255,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     var_of = {("node", b): i for i, b in enumerate(nodes)}
     k = len(nodes)
     base = req.green.base if req.green.kind == "delta" else None
-    base = [] if base is None or is_infinity(base) else [complex(base)]
+    base = None if base is None or is_infinity(base) else complex(base)
 
     greens, specials, fixed_slots, pairs = {}, [], [], []
     leaf_letters = [[] for _ in range(k)]
@@ -271,7 +278,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
         points = [complex(d[1]) for d in greens[e]
                   if d[0] == "c" and not is_infinity(d[1])]
         for v in vs:
-            for c in points + base:
+            for c in points + ([] if base is None else [base]):
                 if c not in anchors[v]:
                     anchors[v].append(c)
 
@@ -293,7 +300,7 @@ def compile_tree(tree: PlaneTree, req: CorrelatorRequest):
     terms, need = _slot_terms(k, greens, green_ids, fixed_slots, sign,
                               req.normalization == "star", spanning)
     return _CompiledTree(tree, k, greens, green_ids, specials, terms, need,
-                         sign, anchors, pairs, spanning, kappa_vertices)
+                         sign, anchors, pairs, spanning, kappa_vertices, base)
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +341,7 @@ class _Mixture:
 
     def __init__(self, curve, comp: _CompiledTree):
         self.curve = curve
+        self._comp = comp
         self.k = comp.k
         self.rho = curve.default_rho
         comps = [("glob", None, None)]
@@ -364,7 +372,11 @@ class _Mixture:
                 keep[v[0], i] = c is None
             else:
                 keep[v, i] = False
-        self._keep = keep
+        # the components that keep column v global, as runs lo..hi-1 of
+        # consecutive ones: `build` fills the column through their slices
+        self._global_runs = [
+            np.flatnonzero(np.diff(np.concatenate(([0], kv, [0])))).reshape(-1, 2)
+            for kv in keep.astype(np.int8)]
         wts = np.full(len(comps), (1.0 - _GLOB_W) / max(1, len(comps) - 1))
         wts[0] = _GLOB_W if len(comps) > 1 else 1.0
         self.wts = wts
@@ -397,8 +409,9 @@ class _Mixture:
         self._plan = plan
         self._factors = list(index)
 
-    def _q_polar(self, d):
-        r = self.curve.separation(d)
+    def _q_polar(self, r):
+        """Density of a polar disk of radius rho, at distance r from its
+        centre."""
         return np.where(r < self.rho,
                         1.0 / (2 * np.pi * self.rho * np.maximum(r, 1e-300)), 0.0)
 
@@ -432,14 +445,18 @@ class _Mixture:
         k = self.k
         ci = self._pick(U[:, 0])
         order = np.argsort(ci, kind="stable")
-        ci = ci[order]
-        at = np.searchsorted(ci, np.arange(len(self.comps) + 1))
+        at = np.searchsorted(ci[order], np.arange(len(self.comps) + 1))
         A = np.empty((n, k), dtype=complex, order="F")
-        for v in range(k):
-            rows = np.flatnonzero(self._keep[v][ci])
-            src = order[rows]
-            A[rows, v] = self.curve.global_point(U[src, 1 + 2 * v],
-                                                 U[src, 2 + 2 * v])
+        for v, runs in enumerate(self._global_runs):
+            spans = [(lo, hi) for lo, hi in at[runs] if lo < hi]
+            if not spans:
+                continue
+            src = np.concatenate([order[lo:hi] for lo, hi in spans])
+            z = self.curve.global_point(U[src, 1 + 2 * v], U[src, 2 + 2 * v])
+            o = 0
+            for lo, hi in spans:
+                A[lo:hi, v] = z[o:o + hi - lo]
+                o += hi - lo
         B = A.copy(order="F")
         for i, (kind, v, c) in enumerate(self.comps[1:], 1):
             # an unanchored chain's root stays global; an empty component
@@ -478,17 +495,16 @@ class _Mixture:
         A, B, _, _ = self.build(rng.random((n, self.uniform_dim())))
         return A, B
 
-    def density(self, pts):
+    def density(self, pts, tab=None):
+        """Mixture density of the rows of pts, its disk factors read from
+        their difference table `tab` (`_differences`, built here if not
+        given)."""
+        if tab is None:
+            tab = _differences(self._comp, self.curve, pts)
         qg = self.curve.global_density(pts)
         prod_g = qg.prod(axis=1)
-        f = []
-        for key in self._factors:
-            if key[0] == "g":
-                f.append(qg[:, key[1]])
-            else:
-                _, v, x = key
-                f.append(self._q_polar(
-                    pts[:, v] - (pts[:, x] if key[0] == "e" else x)))
+        f = [qg[:, key[1]] if key[0] == "g" else self._q_polar(tab.near[key])
+             for key in self._factors]
         q = self.wts[0] * prod_g
         lead = {}       # the non-global weights are equal, so one per vertex
         for w, (v, idx) in zip(self.wts[1:], self._plan):
@@ -515,8 +531,13 @@ _BATCH = 1 << 14
 # size are stacked into one block for the sampler and the integrand; a larger
 # batch is its own block, drawn, built and weighed in chunks of this size
 _BLOCK = 1 << 12
-# points closer than this (by `separation`) are one point
+# points closer than this (by the curve's `separation`, the distance of its
+# `difference` law) are one point
 _COINCIDENT = 1e-9
+# the largest sample count a request may ask for: 2^40 rows take about 19
+# hours at a million rows a second, and the per-block weights of a batch
+# that size would not fit in memory
+_MAX_SAMPLES = 1 << 40
 
 
 def _coord(desc, pts):
@@ -526,6 +547,52 @@ def _coord(desc, pts):
     if desc[0] == "v":
         return pts[:, desc[1]]
     return complex(desc[1])
+
+
+@dataclass(slots=True)
+class _Differences:
+    """The differences of one set of sample rows, each taken, reduced and
+    measured once by the curve's `difference` law, for every reader:
+
+    - `edge[e]`: the (difference, distance) pair of Green edge e, its first
+      end minus its second;
+    - `base[end]`: under a delta measure at a finite base a, the pair of
+      each Green-edge end minus a (an array per vertex, a scalar per fixed
+      point);
+    - `near[key]`: the distance array of each disk key of `_Mixture`,
+      ("c", v, c) for a vertex v and one of its anchors c, ("e", v, w) with
+      v < w for an internal edge; the arrays are those of `edge` and `base`.
+
+    The Green kernel reads `edge` and `base`; the singular mask and the
+    mixture's disk factors read `near`."""
+
+    edge: dict
+    base: dict
+    near: dict
+
+
+def _differences(comp: _CompiledTree, curve, pts):
+    """The `_Differences` of the rows of pts for the tree's Green edges."""
+    diff = curve.difference
+    edge, base, near = {}, {}, {}
+    for e, (x, y) in comp.greens.items():
+        edge[e] = diff(_coord(x, pts) - _coord(y, pts))
+        dist = edge[e][1]
+        if x[0] == y[0] == "v":
+            near["e", min(x[1], y[1]), max(x[1], y[1])] = dist
+            continue
+        (_, v), (_, c) = (x, y) if x[0] == "v" else (y, x)
+        if not is_infinity(c):
+            near["c", v, complex(c)] = dist
+    if comp.base is not None:
+        a = comp.base
+        for ends in comp.greens.values():
+            for end in ends:
+                if end not in base:
+                    base[end] = diff(_coord(end, pts) - a)
+                    if end[0] == "v":
+                        near["c", end[1], a] = base[end][1]
+    return _Differences(edge, base, near)
 
 
 def _block(block, der):
@@ -542,17 +609,26 @@ def _block(block, der):
     return da.imag * db.real - da.real * db.imag
 
 
-def integrand(comp: _CompiledTree, req: CorrelatorRequest, pts: np.ndarray):
+def integrand(comp: _CompiledTree, req: CorrelatorRequest, pts: np.ndarray,
+              tab=None):
     """Top-form coefficient times the product measure factor (-2i)^k,
     evaluated at an (N, k) array of internal-vertex positions: each term is
     c_j G_j times its vertex blocks, each distinct block evaluated once.
     The two-slot vertices are the kappa ones, so the 2i each determinant
-    block leaves out is applied once, as (2i)^kappa."""
+    block leaves out is applied once, as (2i)^kappa.  The Green kernel
+    reads the rows' difference table `tab` (`_differences`, built here if
+    not given) and empties it as it goes, so each edge's difference is
+    freed once its Green values are in: a caller reads the mask and the
+    density from the table first."""
+    if tab is None:
+        tab = _differences(comp, req.curve, pts)
+    tab.near.clear()
+    green, edge, base = req.curve.green_from, tab.edge, tab.base
     gval, der = {}, {}
     for e, ends in comp.greens.items():
-        x, y = _coord(ends[0], pts), _coord(ends[1], pts)
         vx, vy = comp.need[e]
-        gval[e], dx, dy = req.curve.green(req.green, x, y, vx, vy)
+        gval[e], dx, dy = green(req.green, edge.pop(e), base.get(ends[0]),
+                                base.get(ends[1]), vx, vy)
         if vx:
             der[e, ends[0][1]] = dx
         if vy:
@@ -578,17 +654,36 @@ def _normalization(comp: _CompiledTree, req: CorrelatorRequest) -> complex:
             * (-1) ** (kap * (kap - 1) // 2))
 
 
-def _singular_mask(comp: _CompiledTree, curve, pts):
+def _singular_mask(comp: _CompiledTree, curve, pts, tab=None):
     """Rows with a vertex within `_COINCIDENT` of one of its anchors, or of
     the vertex at the other end of one of its internal edges: the rows on a
-    Green-function singularity."""
+    Green-function singularity, read from the rows' difference table `tab`
+    (`_differences`, built here if not given)."""
+    if tab is None:
+        tab = _differences(comp, curve, pts)
     bad = np.zeros(pts.shape[0], dtype=bool)
-    for v, cs in enumerate(comp.anchors):
-        for c in cs:
-            bad |= curve.separation(pts[:, v] - c) < _COINCIDENT
-    for v, w in comp.pairs:
-        bad |= curve.separation(pts[:, v] - pts[:, w]) < _COINCIDENT
+    for dist in tab.near.values():
+        bad |= dist < _COINCIDENT
     return bad
+
+
+def _redraw(comp: _CompiledTree, mix: _Mixture, A, B, rows, key):
+    """Redraw each listed row r of A and B from its own generator, seeded
+    by key(r), up to 8 times, until it is off every singularity; returns
+    the number of draws and of rows still singular."""
+    draws = residual = 0
+    for r in rows:
+        rng = np.random.default_rng(key(r))
+        one = slice(r, r + 1)
+        for _ in range(8):
+            draws += 1
+            A[one], B[one] = mix.draw(rng, 1)
+            if not (_singular_mask(comp, mix.curve, A[one])
+                    | _singular_mask(comp, mix.curve, B[one]))[0]:
+                break
+        else:
+            residual += 1
+    return draws, residual
 
 
 def _first_draw(scheme, rng, dim):
@@ -620,12 +715,13 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     set stays bounded: only the weights w span the block.  A chunk's rows
     come grouped by component, its `twin` global rows first, where B is A:
     those are checked and weighed on A alone, and the weights are scattered
-    back to draw order.  A singular row is redrawn at once, up to 8 times,
-    from its own generator keyed by (seed, tree, batch, row in batch, in
-    draw order), one entry longer than the batch's key, so no other row,
-    block or chunk moves it; a redrawn row ends the twin prefix.  The
-    result is bit-identical to drawing, building and weighing each batch
-    whole."""
+    back to draw order.  A side is checked and weighed from one difference
+    table (`_differences`), and A's is spent before B's is built.  A
+    singular row is redrawn at once, up to 8 times, from its own generator
+    keyed by (seed, tree, batch, row in batch, in draw order), one entry
+    longer than the batch's key, so no other row, block or chunk moves it;
+    a redrawn row ends the twin prefix.  The result is bit-identical to
+    drawing, building and weighing each batch whole."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
@@ -644,11 +740,13 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     per_block = max(1, _BLOCK // batch)
     means = np.empty(nbatches, dtype=complex)
     rejected = residual = 0
+    curve = req.curve
 
-    def singular(A, B, twin=0):
-        bad = _singular_mask(comp, req.curve, A)
-        bad[twin:] |= _singular_mask(comp, req.curve, B[twin:])
-        return bad
+    def weigh(P, tab):
+        """Weights of the rows of P, read from their table (`integrand`
+        spends it)."""
+        q = mix.density(P, tab)
+        return integrand(comp, req, P, tab) / q
 
     for b0 in range(0, nbatches, per_block):
         draws = [_first_draw(req.scheme, np.random.default_rng(
@@ -664,24 +762,36 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
                 draw(U[i * batch:(i + 1) * batch])
             A, B, order, twin = mix.build(U)
             del U               # not held through the integrand's peak
-            for r in np.flatnonzero(singular(A, B, twin)):
+
+            def key(r):
                 b, row = divmod(s + int(order[r]), batch)
-                rng = np.random.default_rng(
-                    [req.seed, tree_index, b0 + b, row, 0x9e3779b9])
-                one = slice(r, r + 1)
-                for _ in range(8):
-                    rejected += 1
-                    A[one], B[one] = mix.draw(rng, 1)
-                    if not singular(A[one], B[one])[0]:
-                        break
-                else:
-                    residual += 1
-                twin = min(twin, r)     # a redrawn B no longer copies A
-            # B is A on the first twin rows, and 0.5 * (x + x) == x
-            wt = integrand(comp, req, A) / mix.density(A)
+                return [req.seed, tree_index, b0 + b, row, 0x9e3779b9]
+
+            # A first: its table is checked and spent by the weighing before
+            # B's is built, so one table is alive while the chunk is weighed
+            tab = _differences(comp, curve, A)
+            done = np.flatnonzero(_singular_mask(comp, curve, A, tab))
+            if done.size:
+                drawn, left = _redraw(comp, mix, A, B, done, key)
+                rejected += drawn
+                residual += left
+                twin = min(twin, int(done[0]))  # a redrawn B no longer copies A
+                tab = _differences(comp, curve, A)
+            wt = weigh(A, tab)
+            # then B where it is not A, less the rows already redrawn
             Bt = B[twin:]
-            wt[twin:] = 0.5 * (wt[twin:]
-                               + integrand(comp, req, Bt) / mix.density(Bt))
+            tab = _differences(comp, curve, Bt)
+            bad = _singular_mask(comp, curve, Bt, tab)
+            bad[done - twin] = False
+            if bad.any():       # their A rows moved too: weigh A again
+                drawn, left = _redraw(comp, mix, A, B,
+                                      twin + np.flatnonzero(bad), key)
+                rejected += drawn
+                residual += left
+                wt = weigh(A, _differences(comp, curve, A))
+                tab = _differences(comp, curve, Bt)
+            # B is A on the first twin rows, and 0.5 * (x + x) == x
+            wt[twin:] = 0.5 * (wt[twin:] + weigh(Bt, tab))
             w[s + order] = wt
         means[b0:b0 + len(draws)] = w.reshape(len(draws), batch).mean(axis=1)
     value = complex(np.mean(means))
@@ -697,6 +807,9 @@ def _validate_request(req: CorrelatorRequest):
                              f"expected one of {', '.join(allowed)}")
     if req.samples < 1:
         raise ValueError(f"samples must be at least 1, not {req.samples}")
+    if req.samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be at most 2^40 = {_MAX_SAMPLES:,}, "
+                         f"not {req.samples}")
     curve = req.curve
     curve.check_measure(req.green)
 

@@ -4,7 +4,7 @@ Green functions on the rational curve and on complex tori, classical and
 single-valued polylogarithms, cross-ratios, and Eisenstein-Kronecker lattice
 sums.  Everything numeric is vectorized over numpy arrays.  The elliptic
 Green function has three independent evaluators, cross-checked in the tests:
-the theta-product closed form (`green_pair`, which the engine uses), the
+the theta-product closed form (`green_pair`, the engine's kernel), the
 Ewald split (`green_ewald`), and Im tau / pi times EK(0,0), the
 Gaussian-regulated lattice sum `_regulated`.  Every lattice sum takes its
 points from `_lattice`.
@@ -105,11 +105,25 @@ def _reduced_basis(tau: complex) -> tuple:
         w2 -= mu * w1
 
 
+def _green(curve, spec, x, y, need_dx, need_dy):
+    """A curve's `green` at points x and y: its `green_from` at the
+    `difference` pairs of x - y and, under a delta measure at a finite a,
+    of x - a and y - a."""
+    xa = ya = None
+    if spec.kind == "delta" and not is_infinity(spec.base):
+        a = complex(spec.base)
+        xa, ya = curve.difference(x - a), curve.difference(y - a)
+    return curve.green_from(spec, curve.difference(x - y), xa, ya,
+                            need_dx, need_dy)
+
+
 @dataclass(frozen=True)
 class RationalCurve:
     """The projective line in the affine coordinate z (INFINITY allowed as a
     decoration or base point).  Like `EllipticCurve`, it supplies every law
-    the engine uses that depends on the curve: `green`, `separation`,
+    the engine uses that depends on the curve: the difference law
+    `difference` (with `separation`, its distance), the Green kernel
+    `green_from` on those differences (with `green`, the same at points),
     `global_point`/`global_density`, `default_rho`, `label`, `genus`,
     `has_infinity` and `check_measure`."""
 
@@ -129,18 +143,26 @@ class RationalCurve:
     def green(spec: GreenSpec, x, y, need_dx: bool = False,
               need_dy: bool = False):
         """(G_a(x, y), dG/dx or None, dG/dy or None) for the delta measure
-        at a; the antiholomorphic derivatives are the conjugates,
-        since G is real.  At a finite base, G_a(x, oo) = -log|x - a| (and
-        dG/dx = -1/(2(x - a))) is the limit y -> oo."""
-        a = spec.base
-        d = x - y
-        g = np.log(np.abs(d))
+        at a: `green_from` at the differences of the points."""
+        return _green(RationalCurve, spec, x, y, need_dx, need_dy)
+
+    @staticmethod
+    def green_from(spec: GreenSpec, xy, xa, ya, need_dx: bool = False,
+                   need_dy: bool = False):
+        """(G_a(x, y), dG/dx or None, dG/dy or None) for the delta measure
+        at a, from the `difference` pairs of x - y and, for a finite a, of
+        x - a and y - a (None otherwise); the antiholomorphic derivatives
+        are the conjugates, since G is real.  At a finite base,
+        G_a(x, oo) = -log|x - a| (and dG/dx = -1/(2(x - a))) is the limit
+        y -> oo."""
+        d, dist = xy
+        g = np.log(dist)
         dx = 0.5 / d if need_dx else None
         dy = (-dx if need_dx else -0.5 / d) if need_dy else None
-        if not is_infinity(a):
-            a = complex(a)
-            lx, ly = np.log(np.abs(x - a)), np.log(np.abs(y - a))
-            x_inf, y_inf = np.isinf(x), np.isinf(y)
+        if not is_infinity(spec.base):
+            (x_a, rx), (y_a, ry) = xa, ya
+            lx, ly = np.log(rx), np.log(ry)
+            x_inf, y_inf = np.isinf(rx), np.isinf(ry)
             if np.any(x_inf | y_inf):
                 # log|x - y| and log|y - a| cancel as y -> oo
                 with np.errstate(invalid="ignore"):
@@ -148,10 +170,16 @@ class RationalCurve:
             else:
                 g = g - lx - ly
             if need_dx:
-                dx = dx - 0.5 / (x - a)
+                dx = dx - 0.5 / x_a
             if need_dy:
-                dy = dy - 0.5 / (y - a)
+                dy = dy - 0.5 / y_a
         return g, dx, dy
+
+    @staticmethod
+    def difference(d):
+        """(d, |d|): the difference d of two points as `green_from` reads
+        it, and their distance."""
+        return d, np.abs(d)
 
     @staticmethod
     def separation(d):
@@ -199,8 +227,14 @@ class EllipticCurve:
         # the theta product and `default_rho`, and the theta product's
         # constants at tau', cached on the frozen instance
         object.__setattr__(self, "_frame", (w1, t))
+        object.__setattr__(self, "_inv_w1", 1 / w1)
         qn = cmath.exp(2j * math.pi * t) ** np.arange(1, self._nterms() + 1)
         log_abs_eta = -math.pi * t.imag / 12 + float(np.log(np.abs(1 - qn)).sum())
+        # the pass keeps the factors n with |q|^(n - 1/2) >= 1e-18: on the
+        # centred cell a later one differs from 1 by less than 3e-18, below
+        # double rounding, and its tiny q^n would only feed the pass
+        # subnormal products (none is kept past Im tau' = 13.2)
+        qn = qn[:int(_THETA_SPAN / t.imag + 0.5)]
         object.__setattr__(self, "_qpow", qn)
         object.__setattr__(self, "_one_plus_q2n", 1.0 + qn * qn)
         object.__setattr__(self, "_log_abs_eta", log_abs_eta)
@@ -231,8 +265,8 @@ class EllipticCurve:
     def _centred(self, z):
         """z / w1 moved by Z + tau' Z to coordinates in [-1/2, 1/2]^2 of the
         basis (1, tau'); it negates exactly when z does."""
-        w1, t = self._frame
-        z = z / w1
+        t = self._frame[1]
+        z = z * self._inv_w1
         v = np.imag(z) / t.imag
         u = np.real(z) - v * t.real
         return (u - np.round(u)) + (v - np.round(v)) * t
@@ -243,14 +277,25 @@ class EllipticCurve:
         `default_rho` on every frame."""
         return self._centred(z) * self._frame[0]
 
+    def difference(self, d):
+        """(`_centred`(d), its distance): the difference d of two points as
+        `green_from` reads it, and the distance on the torus.  Both negate
+        or stay put exactly when d negates."""
+        zc = self._centred(d)
+        return zc, np.abs(zc * self._frame[0])
+
     def separation(self, d):
         """Distance on the torus of two points whose difference is d."""
-        return np.abs(self.wrap(d))
+        return self.difference(d)[1]
 
     def global_point(self, u1, u2):
-        """Uniform point u1 + u2 tau of the fundamental domain, for
-        uniforms u1, u2 in [0, 1)."""
-        return u1 + u2 * complex(self.tau)
+        """Uniform point (u1 + u2 tau') w1 of the reduced basis's cell, for
+        uniforms u1, u2 in [0, 1).  Drawn in the reduced frame, it keeps the
+        digits of u1 on any tau naming the lattice (u1 + u2 tau at
+        tau = 1e17+i rounds u1 away), and on a reduced tau it is
+        u1 + u2 tau bit for bit."""
+        w1, t = self._frame
+        return (u1 + u2 * t) * w1
 
     def global_density(self, z):
         """Density of `global_point` against d^2 z: 1/Im tau everywhere."""
@@ -274,36 +319,53 @@ class EllipticCurve:
         """(log|theta_1(z|tau')/eta(tau')|, theta_1'/theta_1 (z|tau')) from
         one pass over the product, at a centred argument z (`_centred`).
 
-        With e = exp(2 pi i z) the paired factors are
-        t_n = (1 - q^n e)(1 - q^n / e) = 1 - q^n (e + 1/e) + q^(2n), and
+        With S = 2 sin(pi z), C = 2 cos(pi z) and e = exp(2 pi i z),
+        e + 1/e = C^2 - 2 and 1/e - e = -i S C, so the paired factors are
+        t_n = (1 - q^n e)(1 - q^n / e) = 1 - q^n (C^2 - 2) + q^(2n).  The
+        pass carries P = prod t_n and sum q^n / t_n as num / P
+        (num <- num t_n + q^n P), and divides once at the end:
 
-            theta_1 / eta = 2 q^(1/12) sin(pi z) prod_n t_n,
-            theta_1' / theta_1 = pi cot(pi z)
-                                 + 2 pi i (1/e - e) sum_n q^n / t_n.
+            theta_1 / eta = q^(1/12) S P,
+            log|theta_1 / eta| = log|S P| - pi Im tau' / 6,
+            theta_1' / theta_1 = pi C / S + 2 pi i (1/e - e) num / P
+                               = pi C (P + 2 S^2 num) / (S P).
 
-        sin and cos of pi z are built from real sin/cos/sinh/cosh, which keeps
-        full relative accuracy next to 0, the one lattice point a centred z
-        comes near; |e| and |1/e| stay below exp(pi Im tau').
+        S and C are built from real sin/cos/sinh/cosh, which keeps full
+        relative accuracy next to 0, the one lattice point a centred z
+        comes near; |C|^2 stays below 4 cosh(pi Im tau')^2.  libm's sin and
+        sinh are odd and its cos and cosh even, so S negates and C stays
+        put exactly when z negates: the log is even and the derivative odd
+        bit for bit.  The pass leaves out the factors that are 1 to double
+        precision (`__post_init__`).
         """
         z = np.asarray(z, dtype=complex)
         x, y = np.pi * z.real, np.pi * z.imag
         sx, cx, sh, ch = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
-        prod = 2.0 * (sx * ch + 1j * (cx * sh))            # 2 sin(pi z)
-        cot = 2.0 * (cx * ch - 1j * (sx * sh)) / prod      # cot(pi z)
-        e = np.exp(-2.0 * y) * (cx + 1j * sx) ** 2         # exp(2 pi i z)
+        S = 2.0 * (sx * ch + 1j * (cx * sh))
+        C = 2.0 * (cx * ch - 1j * (sx * sh))
         del x, y, sx, cx, sh, ch  # fewer live arrays in the loop below
-        inv_e = 1.0 / e
-        c = e + inv_e
-        acc = np.zeros_like(c)
-        t = np.empty_like(c)
+        c = C * C
+        c -= 2.0                                           # e + 1/e
+        P = np.ones_like(c)
+        num = np.zeros_like(c)
+        t, qP = np.empty_like(c), np.empty_like(c)
         for qn, one_plus_q2n in zip(self._qpow, self._one_plus_q2n):
             np.multiply(c, -qn, out=t)
             t += one_plus_q2n
-            prod *= t
-            acc += np.divide(qn, t, out=t)
-        log_ratio = np.log(np.abs(prod)) - np.pi * self._frame[1].imag / 6.0
-        dlog = np.pi * cot + 2j * np.pi * (inv_e - e) * acc
-        return log_ratio, dlog
+            num *= t
+            num += np.multiply(P, qn, out=qP)
+            P *= t
+        del c, t, qP
+        SP = S * P
+        log_ratio = np.log(np.abs(SP)) - np.pi * self._frame[1].imag / 6.0
+        num *= S
+        num *= S
+        num *= 2.0
+        num += P                                   # P + 2 S^2 num
+        num *= C
+        num *= np.pi
+        num /= SP
+        return log_ratio, num
 
     def log_abs_theta1(self, z):
         """log|theta_1(z|tau')| at a centred argument z."""
@@ -322,27 +384,42 @@ class EllipticCurve:
         """(g(z), dg/dz) from one theta pass; the antiholomorphic Wirtinger
         derivative is the conjugate of dg/dz since g is real.  g depends on
         the lattice alone: it is that of Z + tau' Z at `_centred`(z)."""
-        w1, t = self._frame
-        zc = self._centred(z)
-        log_ratio, dlog = self.theta_quotient(zc)
+        return self._pair(self._centred(z))
+
+    def _pair(self, zc):
+        """`green_pair` at a centred argument zc: g is even and dg/dz odd
+        in zc, bit for bit (`theta_quotient`)."""
+        t = self._frame[1]
+        log_ratio, dg = self.theta_quotient(zc)
         im = np.imag(zc)
-        return (-2.0 * log_ratio + 2 * np.pi * im ** 2 / t.imag,
-                (-dlog - 2j * np.pi * im / t.imag) / w1)
+        g = log_ratio * -2.0
+        g += im * im * (2 * np.pi / t.imag)
+        dg += im * (2j * np.pi / t.imag)
+        dg *= -self._inv_w1
+        return g, dg
 
     def green(self, spec: GreenSpec, x, y, need_dx: bool = False,
               need_dy: bool = False):
-        """(G_mu(x, y), dG/dx or None, dG/dy or None): g(x - y)
-        for the volume measure, g(x - y) - g(x - a) - g(a - y) for the delta
-        measure at a; one theta pass per Green-function argument."""
-        g, gz = self.green_pair(x - y)
+        """(G_mu(x, y), dG/dx or None, dG/dy or None): `green_from` at the
+        differences of the points."""
+        return _green(self, spec, x, y, need_dx, need_dy)
+
+    def green_from(self, spec: GreenSpec, xy, xa, ya, need_dx: bool = False,
+                   need_dy: bool = False):
+        """(G_mu(x, y), dG/dx or None, dG/dy or None) from the `difference`
+        pairs of x - y and, under a delta measure at a, of x - a and
+        y - a: g(x - y) for the volume measure, g(x - y) - g(x - a) -
+        g(a - y) for the delta measure at a; one theta pass per
+        difference.  g(a - y) and its derivative are read from y - a, as
+        g is even and dg/dz odd bit for bit."""
+        g, gz = self._pair(xy[0])
         if spec.kind == "volume":
             return g, (gz if need_dx else None), (-gz if need_dy else None)
-        a = complex(spec.base)
-        g_xa, gz_xa = self.green_pair(x - a)
-        g_ay, gz_ay = self.green_pair(a - y)
+        g_xa, gz_xa = self._pair(xa[0])
+        g_ya, gz_ya = self._pair(ya[0])
         dx = gz - gz_xa if need_dx else None
-        dy = -gz + gz_ay if need_dy else None
-        return g - g_xa - g_ay, dx, dy
+        dy = -gz - gz_ya if need_dy else None
+        return g - g_xa - g_ya, dx, dy
 
     def green_function(self, z):
         """Zero-mean Green function g(z) of the invariant volume form."""

@@ -552,9 +552,17 @@ def _reference_build(mix, U):
     return A, B
 
 
+def _reference_disk(mix, d):
+    """Density of a polar disk of radius rho at the point whose difference
+    from its centre is d: 1 / (2 pi rho r) within rho, else 0."""
+    r = mix.curve.separation(d)
+    return np.where(r < mix.rho,
+                    1.0 / (2 * np.pi * mix.rho * np.maximum(r, 1e-300)), 0.0)
+
+
 def _reference_density(mix, pts):
     """Reference mixture density: every component's polar factors evaluated
-    afresh."""
+    afresh from `separation`."""
     qg = mix.curve.global_density(pts)
     prod_g = qg.prod(axis=1)
     q = mix.wts[0] * prod_g
@@ -563,13 +571,13 @@ def _reference_density(mix, pts):
             continue
         if kind in ("pt", "pair"):
             d = pts[:, v] - (c if kind == "pt" else pts[:, c])
-            q = q + mix.wts[i] * prod_g / qg[:, v] * mix._q_polar(d)
+            q = q + mix.wts[i] * prod_g / qg[:, v] * _reference_disk(mix, d)
         else:
             root, parents = v
             dens = (qg[:, root] if c is None
-                    else mix._q_polar(pts[:, root] - c))
+                    else _reference_disk(mix, pts[:, root] - c))
             for child, parent in parents:
-                dens = dens * mix._q_polar(pts[:, child] - pts[:, parent])
+                dens = dens * _reference_disk(mix, pts[:, child] - pts[:, parent])
             q = q + mix.wts[i] * dens
     return q
 
