@@ -85,9 +85,10 @@ def _richardson(regulators, values):
 # curve models
 # ----------------------------------------------------------------------
 
-# the theta product's factor count is about _THETA_SPAN / Im tau' (`_nterms`)
+# log|eta|'s factor count is about _THETA_SPAN / Im tau' (`_nterms`)
 _THETA_SPAN = 18 * math.log(10) / (2 * math.pi)
-# its exp(+-2 pi Im z), |Im z| <= Im tau' / 2, overflows past Im tau' = 225.9
+# the kernel's c = C^2 - 2, |c| <= exp(pi Im tau') + 1 on the centred cell,
+# overflows past Im tau' = 225.9 (the pass forms c only up to Im tau' = 13.2)
 _MAX_IM_TAU = 200.0
 
 
@@ -103,6 +104,19 @@ def _reduced_basis(tau: complex) -> tuple:
         if not (mu := round((w2 / w1).real)):
             return w1, (w2 if (w2 / w1).imag > 0 else -w2) / w1
         w2 -= mu * w1
+
+
+def _horner(coef, c):
+    """sum_m coef[m] c^m, by Horner's rule in one new array; a constant
+    coef (one entry) is that number alone."""
+    if len(coef) == 1:
+        return coef[0]
+    out = c * coef[-1]
+    for a in coef[-2:0:-1]:
+        out += a
+        out *= c
+    out += coef[0]
+    return out
 
 
 def _green(curve, spec, x, y, need_dx, need_dy):
@@ -225,18 +239,32 @@ class EllipticCurve:
                 f"overflows; every SL2(Z)-equivalent tau has the same tau'")
         # the reduced basis (w1, tau' = w2 / w1), the one frame of `_centred`,
         # the theta product and `default_rho`, and the theta product's
-        # constants at tau', cached on the frozen instance
+        # constants at tau' (log|eta| and the coefficients of its polynomial
+        # in c), cached on the frozen instance
         object.__setattr__(self, "_frame", (w1, t))
         object.__setattr__(self, "_inv_w1", 1 / w1)
         qn = cmath.exp(2j * math.pi * t) ** np.arange(1, self._nterms() + 1)
         log_abs_eta = -math.pi * t.imag / 12 + float(np.log(np.abs(1 - qn)).sum())
-        # the pass keeps the factors n with |q|^(n - 1/2) >= 1e-18: on the
-        # centred cell a later one differs from 1 by less than 3e-18, below
-        # double rounding, and its tiny q^n would only feed the pass
-        # subnormal products (none is kept past Im tau' = 13.2)
-        qn = qn[:int(_THETA_SPAN / t.imag + 0.5)]
-        object.__setattr__(self, "_qpow", qn)
-        object.__setattr__(self, "_one_plus_q2n", 1.0 + qn * qn)
+        # P = prod t_n, t_n = 1 + q^(2n) - q^n c, expanded once in
+        # c = e + 1/e into its coefficients p_m.  |c| <= reach on the centred
+        # cell and |p_m| reach^m ~ exp(-pi Im tau' m^2), so keeping the terms
+        # whose bound is at least 1e-18 leaves degree <= 3 on every frame,
+        # and the constant p_0 alone (1 to double precision) past
+        # Im tau' = 13.2.  num = -dP/dc is kept as the coefficients of
+        # 2 num, the factor of the pass's 2 S^2 num.
+        poly = np.ones(1, dtype=complex)
+        for q in qn:
+            poly = np.convolve(poly, (1.0 + q * q, -q))
+        reach = math.exp(math.pi * t.imag) + 1.0
+        deg = 0
+        while (deg + 1 < len(poly)
+               and abs(poly[deg + 1]) * reach ** (deg + 1) >= 1e-18):
+            deg += 1
+        object.__setattr__(self, "_theta_poly",
+                           tuple(complex(p) for p in poly[:deg + 1]))
+        object.__setattr__(self, "_theta_dpoly",
+                           tuple(-2.0 * m * complex(poly[m])
+                                 for m in range(1, deg + 1)))
         object.__setattr__(self, "_log_abs_eta", log_abs_eta)
 
     @property
@@ -269,7 +297,11 @@ class EllipticCurve:
         z = z * self._inv_w1
         v = np.imag(z) / t.imag
         u = np.real(z) - v * t.real
-        return (u - np.round(u)) + (v - np.round(v)) * t
+        u -= np.round(u)
+        v -= np.round(v)
+        zc = v * t
+        zc += u         # u + v t: the same IEEE sums, signed zeros too
+        return zc
 
     def wrap(self, z):
         """`_centred` times w1: the nearest translate of z whenever that lies
@@ -309,7 +341,9 @@ class EllipticCurve:
 
     # -- theta machinery ------------------------------------------------
     def _nterms(self) -> int:
-        """Factors n = 1..N kept in the theta product at q = exp(2 pi i tau').
+        """Factors n = 1..N of the theta product at q = exp(2 pi i tau'), for
+        log|eta| and for the one-off expansion of prod t_n into the
+        polynomial of `theta_quotient`, whose degree, not N, sizes the pass.
         On the centred argument |Im z| <= Im tau' / 2, so |q^n e^{+-1}| <=
         |q|^(n-1/2), and N makes the first omitted factor differ from 1 by
         less than 1e-18.  Im tau' >= sqrt(3)/2, so N <= 8 on every frame."""
@@ -317,52 +351,69 @@ class EllipticCurve:
 
     def theta_quotient(self, z):
         """(log|theta_1(z|tau')/eta(tau')|, theta_1'/theta_1 (z|tau')) from
-        one pass over the product, at a centred argument z (`_centred`).
+        one polynomial, at a centred argument z (`_centred`).
 
         With S = 2 sin(pi z), C = 2 cos(pi z) and e = exp(2 pi i z),
-        e + 1/e = C^2 - 2 and 1/e - e = -i S C, so the paired factors are
-        t_n = (1 - q^n e)(1 - q^n / e) = 1 - q^n (C^2 - 2) + q^(2n).  The
-        pass carries P = prod t_n and sum q^n / t_n as num / P
-        (num <- num t_n + q^n P), and divides once at the end:
+        c = e + 1/e = C^2 - 2 and 1/e - e = -i S C, so the paired factors are
+        t_n = (1 - q^n e)(1 - q^n / e) = 1 + q^(2n) - q^n c, and their
+        product P = prod t_n is a polynomial in c with constant coefficients
+        p_m (`__post_init__`).  So is num = sum q^n prod_{m != n} t_m = -dP/dc,
+        P times sum q^n / t_n, and one division ends the pass:
 
             theta_1 / eta = q^(1/12) S P,
             log|theta_1 / eta| = log|S P| - pi Im tau' / 6,
             theta_1' / theta_1 = pi C / S + 2 pi i (1/e - e) num / P
                                = pi C (P + 2 S^2 num) / (S P).
 
+        On the centred cell |Im z| <= Im tau' / 2, so |c| <= exp(pi Im tau')
+        + 1 and |p_m c^m| is about exp(-pi Im tau' m^2): the terms below
+        1e-18 are left out, which keeps degree <= 3 on every frame (3 at
+        tau' = i, 2 at 2i, 1 at 5i), and Horner's rule takes at most three
+        steps for P and two for num.  Past Im tau' = 13.2, P is its constant
+        p_0 = 1, and the pass is log|S| and pi C / S.
+
         S and C are built from real sin/cos/sinh/cosh, which keeps full
         relative accuracy next to 0, the one lattice point a centred z
-        comes near; |C|^2 stays below 4 cosh(pi Im tau')^2.  libm's sin and
-        sinh are odd and its cos and cosh even, so S negates and C stays
-        put exactly when z negates: the log is even and the derivative odd
-        bit for bit.  The pass leaves out the factors that are 1 to double
-        precision (`__post_init__`).
+        comes near.  libm's sin and sinh are odd and its cos and cosh even,
+        so S negates and C stays put exactly when z negates, and c, P and
+        num depend on z through C alone: the log is even and the derivative
+        odd bit for bit.
         """
         z = np.asarray(z, dtype=complex)
+        if not z.ndim:          # the pass below works in place on arrays
+            log_ratio, dlog = self.theta_quotient(z.reshape(1))
+            return log_ratio[0], dlog[0]
         x, y = np.pi * z.real, np.pi * z.imag
-        sx, cx, sh, ch = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
-        S = 2.0 * (sx * ch + 1j * (cx * sh))
-        C = 2.0 * (cx * ch - 1j * (sx * sh))
-        del x, y, sx, cx, sh, ch  # fewer live arrays in the loop below
-        c = C * C
-        c -= 2.0                                           # e + 1/e
-        P = np.ones_like(c)
-        num = np.zeros_like(c)
-        t, qP = np.empty_like(c), np.empty_like(c)
-        for qn, one_plus_q2n in zip(self._qpow, self._one_plus_q2n):
-            np.multiply(c, -qn, out=t)
-            t += one_plus_q2n
-            num *= t
-            num += np.multiply(P, qn, out=qP)
-            P *= t
-        del c, t, qP
-        SP = S * P
-        log_ratio = np.log(np.abs(SP)) - np.pi * self._frame[1].imag / 6.0
-        num *= S
-        num *= S
-        num *= 2.0
-        num += P                                   # P + 2 S^2 num
-        num *= C
+        sx = np.sin(x)
+        sx *= 2.0               # doublings are exact: S = 2 sin, C = 2 cos
+        cx = np.cos(x, out=x)
+        cx *= 2.0
+        sh = np.sinh(y)
+        ch = np.cosh(y, out=y)
+        S, C = np.empty_like(z), np.empty_like(z)
+        np.multiply(sx, ch, out=S.real)
+        np.multiply(cx, sh, out=S.imag)
+        np.multiply(cx, ch, out=C.real)
+        np.multiply(sx, sh, out=C.imag)
+        np.negative(C.imag, out=C.imag)
+        del x, y, sx, cx, sh, ch
+        if self._theta_dpoly:
+            c = C * C
+            c -= 2.0                                       # e + 1/e
+            P = _horner(self._theta_poly, c)
+            num = _horner(self._theta_dpoly, c)            # 2 num
+            del c
+            num *= S
+            num *= S
+            num += P                                       # P + 2 S^2 num
+            num *= C
+            SP = P
+            SP *= S
+        else:
+            SP, num = S, C
+        log_ratio = np.abs(SP)
+        np.log(log_ratio, out=log_ratio)
+        log_ratio -= np.pi * self._frame[1].imag / 6.0
         num *= np.pi
         num /= SP
         return log_ratio, num
