@@ -46,8 +46,7 @@ each vertex's difference from the base.  The singular mask, the mixture's
 disk factors and the Green kernel all read that table, and only one side's
 table is alive at a time.  A row on a Green-function singularity is redrawn
 from a generator keyed by its batch and its row in draw order, so neither
-the blocking, the chunking, the grouping nor another row changes a value;
-only the redrawn rows' table entries and weights are retaken.
+the blocking, the chunking, the grouping nor another row changes a value.
 """
 
 from __future__ import annotations
@@ -571,15 +570,6 @@ class _Differences:
     base: dict
     near: dict
 
-    def put(self, rows, sub):
-        """Write `sub`, the table of the given rows in that order, over
-        their entries here: every difference and distance array in place,
-        so `near`, which shares the distance arrays, follows."""
-        for part, sub_part in ((self.edge, sub.edge), (self.base, sub.base)):
-            for key, (d, dist) in part.items():
-                if np.ndim(d):      # a fixed point's base pair is a scalar
-                    d[rows], dist[rows] = sub_part[key]
-
 
 def _differences(comp: _CompiledTree, curve, pts):
     """The `_Differences` of the rows of pts for the tree's Green edges."""
@@ -696,16 +686,6 @@ def _redraw(comp: _CompiledTree, mix: _Mixture, A, B, rows, key):
     return draws, residual
 
 
-def _at_least_two(rows):
-    """Row indices with a lone row listed twice.  A row's table entries and
-    weight are retaken from its rows alone, copied column-major like the
-    chunk, so each column runs the same elementwise arithmetic as on the
-    whole chunk; but numpy runs an in-place operation on a one-element
-    array through another loop, whose complex products round differently,
-    so a lone row is evaluated as two."""
-    return np.repeat(rows, 2) if len(rows) == 1 else rows
-
-
 def _first_draw(scheme, rng, dim):
     """The batch's first draw, as a function that fills the batch's next
     rows of `dim` uniforms from the batch's generator: under qmc through one
@@ -740,10 +720,8 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
     singular row is redrawn at once, up to 8 times, from its own generator
     keyed by (seed, tree, batch, row in batch, in draw order), one entry
     longer than the batch's key, so no other row, block or chunk moves it;
-    a redrawn row ends the twin prefix.  Only a redrawn row's table entries,
-    and when it was singular in B alone its A weight, are retaken, from
-    that row alone.  The result is bit-identical to drawing, building and
-    weighing each batch whole."""
+    a redrawn row ends the twin prefix.  The result is bit-identical to
+    drawing, building and weighing each batch whole."""
     if comp.k == 0:
         # single-edge tree: no integration
         (e, ends), = comp.greens.items()
@@ -769,12 +747,6 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
         spends it)."""
         q = mix.density(P, tab)
         return integrand(comp, req, P, tab) / q
-
-    def patch(tab, P, rows):
-        """Retake the table entries of the listed rows of P, from those
-        rows alone."""
-        rows = _at_least_two(rows)
-        tab.put(rows, _differences(comp, curve, np.asfortranarray(P[rows])))
 
     for b0 in range(0, nbatches, per_block):
         draws = [_first_draw(req.scheme, np.random.default_rng(
@@ -804,22 +776,20 @@ def _eval_tree_mc(comp: _CompiledTree, req: CorrelatorRequest, tree_index: int):
                 rejected += drawn
                 residual += left
                 twin = min(twin, int(done[0]))  # a redrawn B no longer copies A
-                patch(tab, A, done)
+                tab = _differences(comp, curve, A)
             wt = weigh(A, tab)
             # then B where it is not A, less the rows already redrawn
             Bt = B[twin:]
             tab = _differences(comp, curve, Bt)
             bad = _singular_mask(comp, curve, Bt, tab)
             bad[done - twin] = False
-            if bad.any():       # their A rows moved too: weigh those again
-                bad = np.flatnonzero(bad)
-                drawn, left = _redraw(comp, mix, A, B, twin + bad, key)
+            if bad.any():       # their A rows moved too: weigh A again
+                drawn, left = _redraw(comp, mix, A, B,
+                                      twin + np.flatnonzero(bad), key)
                 rejected += drawn
                 residual += left
-                again = _at_least_two(twin + bad)
-                sub = np.asfortranarray(A[again])
-                wt[again] = weigh(sub, _differences(comp, curve, sub))
-                patch(tab, Bt, bad)
+                wt = weigh(A, _differences(comp, curve, A))
+                tab = _differences(comp, curve, Bt)
             # B is A on the first twin rows, and 0.5 * (x + x) == x
             wt[twin:] = 0.5 * (wt[twin:] + weigh(Bt, tab))
             w[s + order] = wt

@@ -249,8 +249,9 @@ class EllipticCurve:
         # c = e + 1/e into its coefficients p_m.  |c| <= reach on the centred
         # cell and |p_m| reach^m ~ exp(-pi Im tau' m^2), so keeping the terms
         # whose bound is at least 1e-18 leaves degree <= 3 on every frame,
-        # and the constant p_0 alone (1 to double precision) past
-        # Im tau' = 13.2.  num = -dP/dc is kept as the coefficients of
+        # and the constant p_0 alone past Im tau' = 13.2, where
+        # |p_0 - 1| ~ |q|^2 < 1e-72 is dropped too: P is then exactly 1, as
+        # the pass assumes.  num = -dP/dc is kept as the coefficients of
         # 2 num, the factor of the pass's 2 S^2 num.
         poly = np.ones(1, dtype=complex)
         for q in qn:
@@ -260,6 +261,9 @@ class EllipticCurve:
         while (deg + 1 < len(poly)
                and abs(poly[deg + 1]) * reach ** (deg + 1) >= 1e-18):
             deg += 1
+        if not deg:
+            assert abs(poly[0] - 1.0) < 1e-18
+            poly = np.ones(1)
         object.__setattr__(self, "_theta_poly",
                            tuple(complex(p) for p in poly[:deg + 1]))
         object.__setattr__(self, "_theta_dpoly",
@@ -370,7 +374,8 @@ class EllipticCurve:
         1e-18 are left out, which keeps degree <= 3 on every frame (3 at
         tau' = i, 2 at 2i, 1 at 5i), and Horner's rule takes at most three
         steps for P and two for num.  Past Im tau' = 13.2, P is its constant
-        p_0 = 1, and the pass is log|S| and pi C / S.
+        p_0 = 1 + O(q^2), stored as exactly 1, and the pass is log|S| and
+        pi C / S.
 
         S and C are built from real sin/cos/sinh/cosh, which keeps full
         relative accuracy next to 0, the one lattice point a centred z
@@ -409,7 +414,7 @@ class EllipticCurve:
             num *= C
             SP = P
             SP *= S
-        else:
+        else:                   # P == 1 (`__post_init__`), num == 0
             SP, num = S, C
         log_ratio = np.abs(SP)
         np.log(log_ratio, out=log_ratio)

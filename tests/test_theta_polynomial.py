@@ -111,10 +111,11 @@ def test_degree_is_at_most_three():
         == [3, 3, 3, 2, 1]
 
 
-@pytest.mark.parametrize("tau", (14j, 150j, 200j))
+@pytest.mark.parametrize("tau", (14j, 0.3 + 14j, 150j, 200j))
 def test_tall_frames_do_no_polynomial_work(tau):
-    """Past Im tau' = 13.2 the polynomial is its constant 1, and the pass,
-    log|S| and pi C / S, still matches `green_ewald`."""
+    """Past Im tau' = 13.2 the polynomial is exactly the constant 1, on a
+    skew frame too, and the pass, log|S| and pi C / S, still matches
+    `green_ewald`."""
     curve = EllipticCurve(tau)
     assert curve._theta_poly == (1.0,) and curve._theta_dpoly == ()
     rng = np.random.default_rng(5)
